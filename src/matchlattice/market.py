@@ -10,8 +10,11 @@ Three market variants share one engine:
 
 Linear orders induce choice functions (take the best ``quota`` acceptable
 partners offered), so every variant exposes a choice function per agent and
-the generic machinery in :mod:`matchlattice.matching` and
-:mod:`matchlattice.tarski` never branches on the variant.
+:mod:`matchlattice.tarski` does not branch on the variant.
+:mod:`matchlattice.matching` does, wherever a variant has a textbook form of
+its own: validity of a matching, individual rationality, the worker side of
+a blocking pair, the many-to-one willing sets and worker order, and
+many-to-one worker-quasi-stability.
 """
 
 from __future__ import annotations
@@ -48,7 +51,9 @@ class ChoiceFunction:
     """A rule selecting a subset from any offered subset of the ground set.
 
     Subclasses implement ``_choose``; results are memoised because the
-    operators and validators re-evaluate the same offers heavily.
+    operators and validators re-evaluate the same offers heavily.  Subclasses
+    may also override ``_accepting`` with a kernel that answers
+    :meth:`accepting` without one ``choose`` per ground element.
     """
 
     ground: frozenset[AgentId]
@@ -57,17 +62,35 @@ class ChoiceFunction:
         self.ground = frozenset(ground)
         self._memo: dict[frozenset, frozenset] = {}
 
+    def _known(self, offered: Iterable[AgentId]) -> frozenset[AgentId]:
+        s = frozenset(offered)
+        extra = s - self.ground
+        if extra:
+            raise UnknownAgent(f"offered set contains unknown ids: {sort_agents(extra)}")
+        return s
+
     def choose(self, offered: Iterable[AgentId]) -> frozenset[AgentId]:
         s = frozenset(offered)
         hit = self._memo.get(s)
         if hit is not None:
             return hit
-        extra = s - self.ground
-        if extra:
-            raise UnknownAgent(f"offered set contains unknown ids: {sort_agents(extra)}")
-        result = self._choose(s)
+        result = self._choose(self._known(s))
         self._memo[s] = result
         return result
+
+    def accepting(self, held: Iterable[AgentId]) -> frozenset[AgentId]:
+        """Every ``x`` in the ground set with ``x in C(held | {x})``.
+
+        These are the partners the agent would keep or take on next to what
+        it holds: one call answers, for the whole opposite side, the
+        question the operators and the blocking-pair scan ask pair by pair.
+        Raises :class:`UnknownAgent` where ``choose(held)`` would.
+        """
+        return self._accepting(self._known(held))
+
+    def _accepting(self, held: frozenset[AgentId]) -> frozenset[AgentId]:
+        # Definitional fallback, one memoised choice per ground element.
+        return frozenset(x for x in self.ground if x in self.choose(held | {x}))
 
     def _choose(self, s: frozenset[AgentId]) -> frozenset[AgentId]:
         raise NotImplementedError
@@ -115,6 +138,20 @@ class SetListChoice(ChoiceFunction):
                 return x
         return frozenset()
 
+    def _accepting(self, held: frozenset[AgentId]) -> frozenset[AgentId]:
+        # C(held | {x}) is the first entry inside held | {x}.  Up to the first
+        # entry inside held itself, that can only be an entry whose sole
+        # element outside held is x; past it, x is accepted iff it is in it.
+        out = set()
+        for x in self.subsets:
+            missing = x - held
+            if not missing:
+                out.update(x)
+                break
+            if len(missing) == 1:
+                out.update(missing)
+        return frozenset(out)
+
     @property
     def list_length(self) -> int:
         return max(1, len(self.subsets))
@@ -152,10 +189,19 @@ class QuotaLinearChoice(ChoiceFunction):
         self.order = order
         self.quota = quota
         self._rank = {a: i for i, a in enumerate(order)}
+        self._acceptable = frozenset(order)
 
     def _choose(self, s: frozenset[AgentId]) -> frozenset[AgentId]:
         acceptable = sorted((a for a in s if a in self._rank), key=self._rank.__getitem__)
         return frozenset(acceptable[: self.quota])
+
+    def _accepting(self, held: frozenset[AgentId]) -> frozenset[AgentId]:
+        # x is accepted iff it ranks at or above the quota-th best acceptable
+        # element held; with fewer than quota of those, every acceptable x is.
+        ranks = sorted(self._rank[a] for a in held if a in self._rank)
+        if len(ranks) < self.quota:
+            return self._acceptable
+        return frozenset(self.order[: ranks[self.quota - 1] + 1])
 
     @property
     def list_length(self) -> int:
@@ -229,11 +275,12 @@ def _set_list_from_json(obj, what: str) -> SetListChoice:
 
 
 class Market:
-    """An immutable two-sided market.
+    """A two-sided market, fixed after construction.
 
     ``firms`` maps firm ids to choice functions over workers; the worker side
     depends on the variant.  Construction widens every choice function's
     ground set to the full opposite side and rejects unknown references.
+    Queries still write to the choice functions' memos.
     """
 
     def __init__(

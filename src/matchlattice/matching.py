@@ -214,24 +214,67 @@ def blocking_pair_reason(m: Market, mu: Matching, f: AgentId, w: AgentId) -> str
     return _worker_side_block_reason(m, mu, f, w)
 
 
+def _worker_takes_on(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
+    """Firms ``f`` whose W-set holds ``w``: ``f in C_w(mu(w) | {f})``.
+
+    A many-to-one worker holding an unacceptable firm keeps the linear
+    order's natural-id tie-break below the empty option.
+    """
+    if m.variant == "many_to_one":
+        current = mu.firm_of(w)
+        pref = m.worker_pref(w)
+        if current is not None and not pref.is_acceptable(current):
+            return frozenset(f for f in m.firm_ids if pref.weakly_prefers(f, current))
+    return m.worker_choice(w).accepting(mu.of_worker(w))
+
+
+def _worker_block_clause(m: Market, mu: Matching, w: AgentId):
+    """``(firms, reason)``: the firms ``w`` would block with and why.
+
+    None when a responsive worker is over quota or holds an unacceptable
+    firm; :func:`_worker_side_block_reason` then answers pair by pair.
+    """
+    if m.variant == "many_to_one":
+        return _worker_takes_on(m, mu, w), "worker_prefers"
+    held = mu.of_worker(w)
+    if m.variant == "many_to_many_responsive":
+        pref = m.worker_pref(w)
+        quota = m.worker_quota(w)
+        if len(held) > quota or not all(pref.is_acceptable(g) for g in held):
+            return None
+        return m.worker_choice(w).accepting(held), "swap" if len(held) == quota else "vacancy"
+    return m.worker_choice(w).accepting(held), "worker_chooses"
+
+
+def _blocking_pairs(m: Market, mu: Matching) -> Iterator[BlockingPair]:
+    """Blocking pairs in (firm, worker) id order, found lazily.
+
+    One ``accepting`` call per firm gives the workers it would add; each
+    worker's side is computed the first time a firm reaches it.
+    """
+    position = {w: i for i, w in enumerate(m.worker_ids)}.__getitem__
+    clauses: dict[AgentId, tuple | None] = {}
+    for f in m.firm_ids:
+        held = mu.of_firm(f)
+        for w in sorted(m.firm_choice(f).accepting(held) - held, key=position):
+            if w not in clauses:
+                clauses[w] = _worker_block_clause(m, mu, w)
+            clause = clauses[w]
+            if clause is None:
+                reason = _worker_side_block_reason(m, mu, f, w)
+            else:
+                reason = clause[1] if f in clause[0] else None
+            if reason is not None:
+                yield BlockingPair(f, w, reason)
+
+
 def blocking_pairs(m: Market, mu: Matching) -> list[BlockingPair]:
     """All blocking pairs, sorted by (firm, worker) natural id order."""
-    pairs = []
-    for f in m.firm_ids:
-        for w in m.worker_ids:
-            reason = blocking_pair_reason(m, mu, f, w)
-            if reason is not None:
-                pairs.append(BlockingPair(f, w, reason))
-    pairs.sort(key=lambda p: (agent_key(p.firm), agent_key(p.worker)))
-    return pairs
+    return list(_blocking_pairs(m, mu))
 
 
 def has_blocking_pair(m: Market, mu: Matching) -> bool:
-    return any(
-        blocking_pair_reason(m, mu, f, w) is not None
-        for f in m.firm_ids
-        for w in m.worker_ids
-    )
+    return next(_blocking_pairs(m, mu), None) is not None
 
 
 def is_stable(m: Market, mu: Matching) -> bool:
@@ -241,26 +284,41 @@ def is_stable(m: Market, mu: Matching) -> bool:
 # -- willing-partner sets ----------------------------------------------------
 
 
+def _transpose(rows: Iterable[tuple[AgentId, Iterable[AgentId]]], keys: Iterable[AgentId]) -> dict:
+    """Turn ``(a, bs)`` rows into ``{b: frozenset of a with b in bs}`` over ``keys``."""
+    cols: dict[AgentId, list[AgentId]] = {k: [] for k in keys}
+    for a, bs in rows:
+        for b in bs:
+            cols[b].append(a)
+    return {k: frozenset(v) for k, v in cols.items()}
+
+
+def _willing_firms(m: Market, mu: Matching) -> dict[AgentId, frozenset[AgentId]]:
+    """:func:`F_set_of_worker` of every worker, from one ``accepting`` per firm."""
+    rows = ((f, m.firm_choice(f).accepting(mu.of_firm(f))) for f in m.firm_ids)
+    return _transpose(rows, m.worker_ids)
+
+
+def _willing_workers(m: Market, mu: Matching) -> dict[AgentId, frozenset[AgentId]]:
+    """:func:`W_set_of_firm` of every firm, from one query per worker."""
+    rows = ((w, _worker_takes_on(m, mu, w)) for w in m.worker_ids)
+    return _transpose(rows, m.firm_ids)
+
+
 def F_set_of_worker(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
     """Firms that would keep or add ``w`` given their current assignment.
 
     On an individually rational matching this is w's current employers plus
     every firm willing to block with her.
     """
-    return frozenset(
-        f for f in m.firm_ids if w in m.firm_choice(f).choose(mu.of_firm(f) | {w})
-    )
+    m.worker_choice(w)  # raises UnknownAgent
+    return _willing_firms(m, mu)[w]
 
 
 def W_set_of_firm(m: Market, mu: Matching, f: AgentId) -> frozenset[AgentId]:
     """Workers that weakly want ``f``: current employees plus would-be blockers."""
-    if m.variant == "many_to_one":
-        return frozenset(
-            w for w in m.worker_ids if m.worker_pref(w).weakly_prefers(f, mu.firm_of(w))
-        )
-    return frozenset(
-        w for w in m.worker_ids if f in m.worker_choice(w).choose(mu.of_worker(w) | {f})
-    )
+    m.firm_choice(f)  # raises UnknownAgent
+    return _willing_workers(m, mu)[f]
 
 
 # -- quasi-stability ----------------------------------------------------------
@@ -313,11 +371,11 @@ def is_worker_quasi_stable(
         return False
     if m.variant == "many_to_one":
         return all(mu.firm_of(p.worker) is None for p in blocking_pairs(m, mu))
+    willing = _willing_firms(m, mu)
     for w in m.worker_ids:
-        held = mu.of_worker(w)
-        willing = F_set_of_worker(m, mu, w)
         if not _held_survives_all_offers(
-            held, willing, m.worker_choice(w), cap, assume_substitutable, "worker-quasi-stability"
+            mu.of_worker(w), willing[w], m.worker_choice(w), cap, assume_substitutable,
+            "worker-quasi-stability",
         ):
             return False
     return True
@@ -332,11 +390,11 @@ def is_firm_quasi_stable(
     """Blocking may never force a firm to displace current employees."""
     if not is_individually_rational(m, mu):
         return False
+    willing = _willing_workers(m, mu)
     for f in m.firm_ids:
-        held = mu.of_firm(f)
-        willing = W_set_of_firm(m, mu, f)
         if not _held_survives_all_offers(
-            held, willing, m.firm_choice(f), cap, assume_substitutable, "firm-quasi-stability"
+            mu.of_firm(f), willing[f], m.firm_choice(f), cap, assume_substitutable,
+            "firm-quasi-stability",
         ):
             return False
     return True

@@ -85,6 +85,21 @@ class QExtensionChoice(ChoiceFunction):
         chosen = self.base.choose(frozenset(lowest))
         return frozenset(lowest[w] for w in chosen)
 
+    def _accepting(self, held: frozenset[AgentId]) -> frozenset[AgentId]:
+        # Replica w#t joins held iff the base choice accepts w next to the
+        # held workers and no lower-index replica of w is held to outrank it.
+        lowest: dict[AgentId, int] = {}
+        for r in held:
+            w = self.rmap.base_of[r]
+            t = self.rmap.index_of[r]
+            if t < lowest.get(w, t + 1):
+                lowest[w] = t
+        out = []
+        for w in self.base.accepting(lowest.keys()):
+            mine = self.rmap.replicas_of[w]
+            out.extend(mine[: lowest.get(w, len(mine))])
+        return self.ground.intersection(out)
+
     @property
     def list_length(self) -> int:
         return self.base.list_length

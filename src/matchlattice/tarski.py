@@ -30,9 +30,10 @@ from .errors import (
 )
 from .market import AgentId, Market
 from .matching import (
-    F_set_of_worker,
     Matching,
-    W_set_of_firm,
+    _transpose,
+    _willing_firms,
+    _willing_workers,
     blair_geq_firms,
     blocking_pairs,
     is_firm_quasi_stable,
@@ -82,18 +83,30 @@ def gamma_join(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Ma
     return out
 
 
+def _firm_pools(m: Market, mu: Matching) -> dict[AgentId, frozenset[AgentId]]:
+    """Every firm's :func:`B_set_of_firm`, one choice per agent."""
+    willing = _willing_firms(m, mu)
+    best = ((w, m.worker_choice(w).choose(willing[w])) for w in m.worker_ids)
+    claimants = _transpose(best, m.firm_ids)
+    return {f: claimants[f] | mu.of_firm(f) for f in m.firm_ids}
+
+
+def _worker_pools(m: Market, mu: Matching) -> dict[AgentId, frozenset[AgentId]]:
+    """Every worker's :func:`B_set_of_worker`, one choice per agent."""
+    willing = _willing_workers(m, mu)
+    picked = ((f, m.firm_choice(f).choose(willing[f])) for f in m.firm_ids)
+    offers = _transpose(picked, m.worker_ids)
+    return {w: offers[w] | mu.of_worker(w) for w in m.worker_ids}
+
+
 def B_set_of_firm(m: Market, mu: Matching, f: AgentId) -> frozenset[AgentId]:
     """The firm's operator pool: current workers plus best-match claimants.
 
     A worker claims ``f`` when ``f`` is among her chosen firms out of all
     firms willing to take her on.  Assumes ``mu`` is worker-quasi-stable.
     """
-    claimants = set()
-    for w in m.worker_ids:
-        willing = F_set_of_worker(m, mu, w)
-        if f in m.worker_choice(w).choose(willing):
-            claimants.add(w)
-    return frozenset(claimants) | mu.of_firm(f)
+    pools = _firm_pools(m, mu)
+    return pools[f] if f in pools else mu.of_firm(f)
 
 
 def B_set_of_worker(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
@@ -103,28 +116,16 @@ def B_set_of_worker(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
     want it.  Staying unmatched is implicitly available to the worker's
     choice.  Assumes ``mu`` is firm-quasi-stable.
     """
-    offers = set()
-    for f in m.firm_ids:
-        pool = W_set_of_firm(m, mu, f)
-        if w in m.firm_choice(f).choose(pool):
-            offers.add(f)
-    return frozenset(offers) | mu.of_worker(w)
+    pools = _worker_pools(m, mu)
+    return pools[w] if w in pools else mu.of_worker(w)
 
 
 def tarski_firm_step(m: Market, mu: Matching, check: bool = True) -> Matching:
     """One lay-off-chain round: every firm chooses from its operator pool."""
     if check and not is_worker_quasi_stable(m, mu):
         raise NotWorkerQuasiStable("operator input is not worker-quasi-stable")
-    best_of: dict[AgentId, frozenset[AgentId]] = {}
-    for w in m.worker_ids:
-        willing = F_set_of_worker(m, mu, w)
-        best_of[w] = m.worker_choice(w).choose(willing)
-    edges = []
-    for f in m.firm_ids:
-        pool = frozenset(w for w in m.worker_ids if f in best_of[w]) | mu.of_firm(f)
-        for w in m.firm_choice(f).choose(pool):
-            edges.append((f, w))
-    out = Matching(edges)
+    pools = _firm_pools(m, mu)
+    out = Matching((f, w) for f in m.firm_ids for w in m.firm_choice(f).choose(pools[f]))
     out.validate_for(m)
     return out
 
@@ -133,16 +134,8 @@ def tarski_worker_step(m: Market, mu: Matching, check: bool = True) -> Matching:
     """One vacancy-chain round: every worker chooses from her operator pool."""
     if check and not is_firm_quasi_stable(m, mu):
         raise NotFirmQuasiStable("operator input is not firm-quasi-stable")
-    picked: dict[AgentId, frozenset[AgentId]] = {}
-    for f in m.firm_ids:
-        pool = W_set_of_firm(m, mu, f)
-        picked[f] = m.firm_choice(f).choose(pool)
-    edges = []
-    for w in m.worker_ids:
-        offers = frozenset(f for f in m.firm_ids if w in picked[f]) | mu.of_worker(w)
-        for f in m.worker_choice(w).choose(offers):
-            edges.append((f, w))
-    out = Matching(edges)
+    pools = _worker_pools(m, mu)
+    out = Matching((f, w) for w in m.worker_ids for f in m.worker_choice(w).choose(pools[w]))
     out.validate_for(m)
     return out
 
