@@ -481,8 +481,15 @@ def _choice_to_json(c: ChoiceFunction) -> dict:
 #   consistent     <=>  for all S and x in S - C(S):  C(S - {x}) == C(S)
 #
 # (chain any S' inside S by removing one element at a time).  This costs
-# n * 2^n evaluations instead of 3^n.  Path independence is checked directly
-# over all pairs, which costs 4^n, hence its lower default cap.
+# n * 2^n evaluations instead of 3^n.
+#
+# Path independence, C(S u S') == C(C(S) u S') for all S and S', is decided
+# from the same two checks plus the contraction check C(S) <= S: Aizerman and
+# Malishevski (1981) show that a contracting choice is path independent iff
+# it is substitutable and consistent.  The direct search over all pairs costs
+# 4^n and runs only when one of the three checks fails, to find the witness
+# (or, for a choice that does not contract, to decide at all), hence the
+# lower default cap on path independence.
 
 SUBSET_CAP = 14
 PI_CAP = 10
@@ -536,6 +543,10 @@ def _check_cap(c: ChoiceFunction, cap: int, axiom: str):
 def validate_substitutable(c: ChoiceFunction, cap: int = SUBSET_CAP) -> ChoiceReport:
     """Chosen partners must stay chosen when the offered set shrinks."""
     _check_cap(c, cap, "substitutable")
+    return _substitutable_report(c)
+
+
+def _substitutable_report(c: ChoiceFunction) -> ChoiceReport:
     items = tuple(sort_agents(c.ground))
     for s in _subsets(items):
         chosen = c.choose(s)
@@ -562,6 +573,10 @@ def validate_substitutable(c: ChoiceFunction, cap: int = SUBSET_CAP) -> ChoiceRe
 def validate_consistent(c: ChoiceFunction, cap: int = SUBSET_CAP) -> ChoiceReport:
     """Removing rejected partners must not change the choice."""
     _check_cap(c, cap, "consistent")
+    return _consistent_report(c)
+
+
+def _consistent_report(c: ChoiceFunction) -> ChoiceReport:
     items = tuple(sort_agents(c.ground))
     for s in _subsets(items):
         chosen = c.choose(s)
@@ -584,8 +599,37 @@ def validate_consistent(c: ChoiceFunction, cap: int = SUBSET_CAP) -> ChoiceRepor
 
 
 def validate_path_independent(c: ChoiceFunction, cap: int = PI_CAP) -> ChoiceReport:
-    """C(S u S') must equal C(C(S) u S'), checked over all pairs."""
+    """C(S u S') must equal C(C(S) u S') for all pairs of offers.
+
+    Decided in n * 2^n evaluations for a contracting, substitutable and
+    consistent choice; otherwise the direct search over all pairs decides
+    and names the witness.
+    """
     _check_cap(c, cap, "path_independent")
+    return _path_independent_report(c)
+
+
+def _path_independent_report(
+    c: ChoiceFunction,
+    substitutable: ChoiceReport | None = None,
+    consistent: ChoiceReport | None = None,
+) -> ChoiceReport:
+    """The path-independence verdict, reusing axiom reports already made.
+
+    The checks run uncapped: the caller has applied the path-independence
+    cap, which is what the direct search would have been held to.
+    """
+    if (
+        all(c.choose(s) <= s for s in _subsets(tuple(sort_agents(c.ground))))
+        and (substitutable or _substitutable_report(c)).ok
+        and (consistent or _consistent_report(c)).ok
+    ):
+        return ChoiceReport("path_independent", True)
+    return _path_independence_search(c)
+
+
+def _path_independence_search(c: ChoiceFunction) -> ChoiceReport:
+    """The direct check over all pairs of offers, stopping at the first witness."""
     items = tuple(sort_agents(c.ground))
     all_subsets = list(_subsets(items))
     for s in all_subsets:
@@ -633,11 +677,13 @@ def validate_market(
 
     ``source`` may be a built :class:`Market` or a raw JSON object; the raw
     form lets referential problems surface as report entries instead of
-    construction errors.  Substitutability and consistency always run;
-    path independence runs only on ground sets within ``pi_cap`` (its direct
-    check is quartic-exponential) and a note records any skip.  Ground sets
-    beyond ``cap`` raise :class:`CapExceeded` unless ``assume_substitutable``
-    is set, in which case the axioms are skipped with a note.
+    construction errors.  Substitutability and consistency always run, and
+    path independence is decided from their reports plus the contraction
+    check.  It runs only on ground sets within ``pi_cap``, because a failing
+    verdict falls back on the 4^n direct search for its witness, and a note
+    records any skip.  Ground sets beyond ``cap`` raise :class:`CapExceeded`
+    unless ``assume_substitutable`` is set, in which case the axioms are
+    skipped with a note.
     """
     report = MarketReport(ok=True)
     if not isinstance(source, Market):
@@ -657,7 +703,7 @@ def validate_market(
             return
         reports = [validate_substitutable(c, cap), validate_consistent(c, cap)]
         if len(c.ground) <= pi_cap:
-            reports.append(validate_path_independent(c, pi_cap))
+            reports.append(_path_independent_report(c, *reports))
         else:
             report.notes.append(
                 f"{agent}: path independence skipped (ground set {len(c.ground)} > cap {pi_cap})"

@@ -18,9 +18,10 @@ from matchlattice import (
     validate_path_independent,
     validate_substitutable,
 )
-from matchlattice.market import agent_key, sort_agents
+from matchlattice.market import ChoiceFunction, _path_independence_search, agent_key, sort_agents
+from matchlattice.replica import QExtensionChoice, ReplicaMap
 
-from axiom_oracles import brute_consistent, brute_path_independent, brute_substitutable
+from axiom_oracles import brute_consistent, brute_path_independent, brute_substitutable, powerset
 
 
 # -- choose ------------------------------------------------------------------
@@ -108,6 +109,145 @@ def test_path_independence_iff_substitutable_and_consistent(c):
     assert validate_path_independent(c).ok == (
         validate_substitutable(c).ok and validate_consistent(c).ok
     )
+
+
+# The public verdict is decided from the contraction and single-removal
+# checks; the direct search over all pairs is the independent reference, so
+# the two must agree report for report, witness included.
+
+
+class TableChoice(ChoiceFunction):
+    """A choice read off an explicit table; it need not pick from the offer."""
+
+    def __init__(self, ground, table):
+        super().__init__(ground)
+        self.table = table
+
+    def _choose(self, s):
+        return self.table[s]
+
+    @property
+    def list_length(self):
+        return 1
+
+
+def outcome(fn, *args):
+    """The report as JSON, or the type of the exception raised."""
+    try:
+        return fn(*args).to_json()
+    except Exception as e:  # compared against the reference's raise
+        return type(e)
+
+
+def assert_pi_matches_direct_search(c):
+    assert outcome(validate_path_independent, c) == outcome(_path_independence_search, c)
+
+
+@st.composite
+def table_choices(draw):
+    """Arbitrary tables: contracting ones, or ones that may pick anything.
+
+    Non-contracting tables may name ``z``, which is outside the ground set.
+    """
+    ground = ["a", "b", "c"]
+    contracting = draw(st.booleans())
+    table = {}
+    for s in powerset(ground):
+        pool = sorted(s) if contracting else ground + ["z"]
+        table[s] = frozenset(draw(st.sets(st.sampled_from(pool)))) if pool else frozenset()
+    return TableChoice(ground, table)
+
+
+@st.composite
+def q_extension_choices(draw):
+    workers = ["a", "b", "c"]
+    if draw(st.booleans()):
+        order = draw(st.permutations(workers))
+        base = QuotaLinearChoice(order[: draw(st.integers(0, 3))], draw(st.integers(1, 2)), ground=workers)
+    else:
+        entries = draw(
+            st.lists(st.frozensets(st.sampled_from(workers), min_size=1), unique=True, max_size=4)
+        )
+        base = SetListChoice(entries, ground=workers)
+    quotas = {w: draw(st.integers(1, 2)) for w in workers}
+    return QExtensionChoice(base, ReplicaMap.build(workers, quotas))
+
+
+@given(set_list_choices())
+@settings(deadline=None, max_examples=150)
+def test_path_independence_equals_direct_search_on_set_lists(c):
+    assert_pi_matches_direct_search(c)
+
+
+@given(small_ids, st.integers(1, 3))
+@settings(deadline=None, max_examples=40)
+def test_path_independence_equals_direct_search_on_quota_linear(order, quota):
+    assert_pi_matches_direct_search(QuotaLinearChoice(order, quota, ground=["a", "b", "c", "d"]))
+
+
+@given(q_extension_choices())
+@settings(deadline=None, max_examples=40)
+def test_path_independence_equals_direct_search_on_q_extensions(c):
+    assert_pi_matches_direct_search(c)
+
+
+@given(table_choices())
+@settings(deadline=None, max_examples=200)
+def test_path_independence_equals_direct_search_on_tables(c):
+    assert_pi_matches_direct_search(c)
+
+
+def test_path_independence_needs_the_contraction_check():
+    # substitutable and consistent, but C({b}) = {a,b} reaches outside {b}
+    ground = ["a", "b"]
+    table = {
+        frozenset(): frozenset(),
+        frozenset("a"): frozenset("a"),
+        frozenset("b"): frozenset("ab"),
+        frozenset("ab"): frozenset("a"),
+    }
+    c = TableChoice(ground, table)
+    assert validate_substitutable(c).ok and validate_consistent(c).ok
+    assert not brute_path_independent(c)
+    assert_pi_matches_direct_search(c)
+    # choosing the whole ground set every time is path independent all the same
+    everything = TableChoice(ground, {s: frozenset(ground) for s in table})
+    assert brute_path_independent(everything)
+    assert validate_path_independent(everything).ok
+
+
+def test_path_independence_witnesses_on_violator_battery():
+    expected = [
+        (["a"], ["b"], "C(S u S') = {a,b} but C(C(S) u S') = {}"),
+        (["b"], ["a"], "C(S u S') = {a,b} but C(C(S) u S') = {a}"),
+        (["c"], ["b"], "C(S u S') = {b,c} but C(C(S) u S') = {b}"),
+    ]
+    violators = [
+        SetListChoice([["a", "b"], ["c"]], ground=["a", "b", "c"]),
+        SetListChoice([["a", "b"], ["a"]], ground=["a", "b"]),
+        SetListChoice([["a", "b"], ["b", "c"], ["a"], ["b"]], ground=["a", "b", "c"]),
+    ]
+    for v, (s, s_prime, detail) in zip(violators, expected):
+        report = validate_path_independent(v).to_json()
+        assert report == {
+            "axiom": "path_independent",
+            "ok": False,
+            "violation": {
+                "axiom": "path_independent",
+                "S": s,
+                "S_prime": s_prime,
+                "agent": None,
+                "detail": detail,
+            },
+        }
+        assert report == _path_independence_search(v).to_json()
+
+
+def test_path_independence_cap_is_the_only_cap():
+    # 15 elements exceed SUBSET_CAP; the checks behind the verdict must not
+    # raise where the direct search, given this cap, would not
+    c = QuotaLinearChoice([f"x{i}" for i in range(15)], 2)
+    assert validate_path_independent(c, cap=15).ok
 
 
 def test_nested_pair_list_verdict_matches_brute_force():

@@ -69,6 +69,31 @@ def test_budget_guards():
         list(enumerate_matchings(big))
 
 
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except BudgetExceeded:
+        return True
+    return False
+
+
+def test_budget_raised_on_same_inputs_at_call_time():
+    m = random_market(3, RandomMarketSpec(variant="many_to_many_sub", n_firms=3, n_workers=4))
+    ir_count = count_matchings(m, ir_workers_only=True)
+    budgets = [
+        EnumerationBudget(max_matchings=ir_count),
+        EnumerationBudget(max_matchings=ir_count - 1),
+        EnumerationBudget(max_firms=2),
+        EnumerationBudget(max_workers=3),
+    ]
+    expected = [False, True, True, True]
+    for budget, exceeded in zip(budgets, expected):
+        assert raised(lambda: list(enumerate_matchings(m, budget, ir_workers_only=True))) == exceeded
+        assert raised(enumerate_stable, m, budget) == exceeded
+        assert raised(enumerate_quasi_stable, m, "workers", budget) == exceeded
+        assert raised(enumerate_quasi_stable, m, "firms", budget) == exceeded
+
+
 def test_enumerate_stable_goldens(example1):
     m, named = example1
     stable = enumerate_stable(m)
