@@ -17,10 +17,11 @@ import sys
 from importlib import resources
 
 from . import oracle, replica, tarski
-from .errors import MatchLatticeError, ParseError, SchemaError
+from .errors import MatchLatticeError, NotStable, ParseError, SchemaError
 from .market import Market, validate_market
 from .matching import (
     Matching,
+    _other,
     blocking_pairs,
     is_firm_quasi_stable,
     is_individually_rational,
@@ -135,40 +136,28 @@ def _cmd_stable_check(args) -> int:
 def _cmd_quasi_check(args) -> int:
     m = load_market(args.market, args.seed)
     mu = load_matching(args.matching, m)
-    if args.side == "workers":
-        value = is_worker_quasi_stable(m, mu, cap=args.cap, assume_substitutable=args.assume_substitutable)
-        label = "worker-quasi-stable"
-    else:
-        value = is_firm_quasi_stable(m, mu, cap=args.cap, assume_substitutable=args.assume_substitutable)
-        label = "firm-quasi-stable"
+    holds = is_firm_quasi_stable if args.side == "firms" else is_worker_quasi_stable
+    value = holds(m, mu, cap=args.cap, assume_substitutable=args.assume_substitutable)
+    label = f"{args.side[:-1]}-quasi-stable"
     return _emit(args, {label.replace("-", "_"): value}, f"{label}: {str(value).lower()}")
 
 
-_OPS = {
-    # (command, side) -> (candidate builder, operator side)
-    ("join", "firms"): (tarski.lambda_join, "firms"),
-    ("meet", "workers"): (tarski.lambda_join, "firms"),
-    ("join", "workers"): (tarski.gamma_join, "workers"),
-    ("meet", "firms"): (tarski.gamma_join, "workers"),
-}
-
-
-def _cmd_join_meet(args, which: str) -> int:
+def _cmd_join_meet(args) -> int:
     m = load_market(args.market, args.seed)
     a = load_matching(args.mu1, m)
     b = load_matching(args.mu2, m)
     if not args.no_check:
-        from .errors import NotStable
-
         if not is_stable(m, a):
             raise NotStable(f"{args.mu1} is not stable in this market")
         if not is_stable(m, b):
             raise NotStable(f"{args.mu2} is not stable in this market")
-    builder, op_side = _OPS[(which, args.side)]
+    # The side's join is its own operator's walk; its meet is the other side's join.
+    op_side = args.side if args.command == "join" else _other(args.side)
+    builder = tarski.lambda_join if op_side == "firms" else tarski.gamma_join
     candidate = builder(m, a, b, check=False)
     trace = tarski.iterate_to_fixed_point(m, candidate, op_side, check=False)
     result = {
-        "operation": which,
+        "operation": args.command,
         "side": args.side,
         "result": trace.final.to_json(),
     }
@@ -467,6 +456,8 @@ _HANDLERS = {
     "validate": _cmd_validate,
     "stable-check": _cmd_stable_check,
     "quasi-check": _cmd_quasi_check,
+    "join": _cmd_join_meet,
+    "meet": _cmd_join_meet,
     "iterate": _cmd_iterate,
     "enumerate": _cmd_enumerate,
     "verify-lattice": _cmd_verify_lattice,
@@ -484,8 +475,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if args.command in ("join", "meet"):
-            return _cmd_join_meet(args, args.command)
         return _HANDLERS[args.command](args)
     except MatchLatticeError as e:
         err = {"type": type(e).__name__, "message": str(e)}

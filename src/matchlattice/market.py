@@ -15,6 +15,10 @@ partners offered), so every variant exposes a choice function per agent and
 its own: validity of a matching, individual rationality, the worker side of
 a blocking pair, the many-to-one willing sets and worker order, and
 many-to-one worker-quasi-stability.
+
+Beyond those forms the two sides are duals: willing sets, quasi-stability,
+candidates, pools and steps each have one side-generic body in
+``matching``/``tarski``, and the public firm and worker names delegate.
 """
 
 from __future__ import annotations

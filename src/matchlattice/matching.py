@@ -14,11 +14,11 @@ matchings and tests pin that down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CapExceeded, SchemaError
-from .market import AgentId, Market, agent_key, sort_agents
+from .market import AgentId, Market, _subsets, agent_key, sort_agents
 
 
 class Matching:
@@ -293,16 +293,31 @@ def _transpose(rows: Iterable[tuple[AgentId, Iterable[AgentId]]], keys: Iterable
     return {k: frozenset(v) for k, v in cols.items()}
 
 
-def _willing_firms(m: Market, mu: Matching) -> dict[AgentId, frozenset[AgentId]]:
-    """:func:`F_set_of_worker` of every worker, from one ``accepting`` per firm."""
-    rows = ((f, m.firm_choice(f).accepting(mu.of_firm(f))) for f in m.firm_ids)
-    return _transpose(rows, m.worker_ids)
+def _require_side(side: str) -> None:
+    if side not in ("firms", "workers"):
+        raise ValueError("side must be 'firms' or 'workers'")
 
 
-def _willing_workers(m: Market, mu: Matching) -> dict[AgentId, frozenset[AgentId]]:
-    """:func:`W_set_of_firm` of every firm, from one query per worker."""
-    rows = ((w, _worker_takes_on(m, mu, w)) for w in m.worker_ids)
-    return _transpose(rows, m.firm_ids)
+def _other(side: str) -> str:
+    return "workers" if side == "firms" else "firms"
+
+
+def _agents(m: Market, mu: Matching, side: str):
+    """``(ids, choice, held, takes_on)`` of one side under ``mu``.
+
+    The side-generic bodies read both sides through this; ``takes_on(a)`` is
+    every partner ``a`` would keep or add.
+    """
+    if side == "firms":
+        choice, held = m.firm_choice, mu.of_firm
+        return m.firm_ids, choice, held, lambda f: choice(f).accepting(held(f))
+    return m.worker_ids, m.worker_choice, mu.of_worker, partial(_worker_takes_on, m, mu)
+
+
+def _willing(m: Market, mu: Matching, side: str) -> dict[AgentId, frozenset[AgentId]]:
+    """Every :func:`F_set_of_worker` (firms) or :func:`W_set_of_firm` (workers), one query per agent."""
+    ids, _, _, takes_on = _agents(m, mu, side)
+    return _transpose(((a, takes_on(a)) for a in ids), _agents(m, mu, _other(side))[0])
 
 
 def F_set_of_worker(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
@@ -312,22 +327,16 @@ def F_set_of_worker(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
     every firm willing to block with her.
     """
     m.worker_choice(w)  # raises UnknownAgent
-    return _willing_firms(m, mu)[w]
+    return _willing(m, mu, "firms")[w]
 
 
 def W_set_of_firm(m: Market, mu: Matching, f: AgentId) -> frozenset[AgentId]:
     """Workers that weakly want ``f``: current employees plus would-be blockers."""
     m.firm_choice(f)  # raises UnknownAgent
-    return _willing_workers(m, mu)[f]
+    return _willing(m, mu, "workers")[f]
 
 
 # -- quasi-stability ----------------------------------------------------------
-
-
-def _subsets_of(items: tuple) -> Iterator[frozenset]:
-    for r in range(len(items) + 1):
-        for combo in combinations(items, r):
-            yield frozenset(combo)
 
 
 def _held_survives_all_offers(
@@ -352,7 +361,18 @@ def _held_survives_all_offers(
             "raise the cap or pass assume_substitutable=True"
         )
     items = tuple(sort_agents(willing))
-    return all(held <= choice.choose(held | t) for t in _subsets_of(items))
+    return all(held <= choice.choose(held | t) for t in _subsets(items))
+
+
+def _holdings_survive(m: Market, mu: Matching, side: str, cap: int, assume_substitutable: bool) -> bool:
+    """Every ``side`` agent keeps what it holds against any offers from its willing partners."""
+    ids, choice, held, _ = _agents(m, mu, side)
+    willing = _willing(m, mu, _other(side))
+    what = f"{side[:-1]}-quasi-stability"
+    return all(
+        _held_survives_all_offers(held(a), willing[a], choice(a), cap, assume_substitutable, what)
+        for a in ids
+    )
 
 
 def is_worker_quasi_stable(
@@ -371,14 +391,7 @@ def is_worker_quasi_stable(
         return False
     if m.variant == "many_to_one":
         return all(mu.firm_of(p.worker) is None for p in blocking_pairs(m, mu))
-    willing = _willing_firms(m, mu)
-    for w in m.worker_ids:
-        if not _held_survives_all_offers(
-            mu.of_worker(w), willing[w], m.worker_choice(w), cap, assume_substitutable,
-            "worker-quasi-stability",
-        ):
-            return False
-    return True
+    return _holdings_survive(m, mu, "workers", cap, assume_substitutable)
 
 
 def is_firm_quasi_stable(
@@ -388,16 +401,9 @@ def is_firm_quasi_stable(
     assume_substitutable: bool = False,
 ) -> bool:
     """Blocking may never force a firm to displace current employees."""
-    if not is_individually_rational(m, mu):
-        return False
-    willing = _willing_workers(m, mu)
-    for f in m.firm_ids:
-        if not _held_survives_all_offers(
-            mu.of_firm(f), willing[f], m.firm_choice(f), cap, assume_substitutable,
-            "firm-quasi-stability",
-        ):
-            return False
-    return True
+    return is_individually_rational(m, mu) and _holdings_survive(
+        m, mu, "firms", cap, assume_substitutable
+    )
 
 
 # -- partial orders -----------------------------------------------------------

@@ -25,6 +25,7 @@ from .market import (
 )
 from .matching import (
     Matching,
+    _require_side,
     blair_geq_firms,
     blair_geq_workers,
     is_firm_quasi_stable,
@@ -126,12 +127,8 @@ def enumerate_quasi_stable(
     m: Market, side: str, budget: EnumerationBudget | None = None
 ) -> list[Matching]:
     """All worker- (side='workers') or firm- (side='firms') quasi-stable matchings."""
-    if side == "workers":
-        pred = is_worker_quasi_stable
-    elif side == "firms":
-        pred = is_firm_quasi_stable
-    else:
-        raise ValueError("side must be 'firms' or 'workers'")
+    _require_side(side)
+    pred = is_worker_quasi_stable if side == "workers" else is_firm_quasi_stable
     return [
         mu for mu in enumerate_matchings(m, budget, ir_workers_only=True) if pred(m, mu)
     ]

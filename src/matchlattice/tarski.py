@@ -15,6 +15,10 @@ the stable matchings, so the walk lands on the join:
 
 Firm-order meet equals worker-order join by duality on the stable set, so
 both lattice operations for both orders come out of the same two walks.
+
+The two sides are exact duals: the candidate, pools and step are defined
+once here, parameterised by ``side`` (read through ``matching._agents``),
+and the public firm and worker names delegate to them.
 """
 
 from __future__ import annotations
@@ -31,9 +35,11 @@ from .errors import (
 from .market import AgentId, Market
 from .matching import (
     Matching,
+    _agents,
+    _other,
+    _require_side,
     _transpose,
-    _willing_firms,
-    _willing_workers,
+    _willing,
     blair_geq_firms,
     blocking_pairs,
     is_firm_quasi_stable,
@@ -43,6 +49,39 @@ from .matching import (
 )
 
 
+def _require_quasi_stable(m: Market, side: str, named) -> None:
+    """Raise unless each ``(what, mu)`` lies on the lattice ``side``'s operator walks.
+
+    The predicate is looked up per call, so a wrapper installed on the module sees it.
+    """
+    if side == "firms":
+        holds, error, label = is_worker_quasi_stable, NotWorkerQuasiStable, "worker"
+    else:
+        holds, error, label = is_firm_quasi_stable, NotFirmQuasiStable, "firm"
+    for what, mu in named:
+        if not holds(m, mu):
+            raise error(f"{what} is not {label}-quasi-stable")
+
+
+def _everyone_chooses(m: Market, mu: Matching, side: str, offers) -> Matching:
+    """The matching in which each ``side`` agent of the ``(agent, offer)`` rows holds its choice."""
+    choice = _agents(m, mu, side)[1]
+    if side == "firms":
+        out = Matching((a, b) for a, offer in offers for b in choice(a).choose(offer))
+    else:
+        out = Matching((b, a) for a, offer in offers for b in choice(a).choose(offer))
+    out.validate_for(m)
+    return out
+
+
+def _pooled_join(m: Market, mu: Matching, mu2: Matching, side: str, check: bool) -> Matching:
+    if check:
+        _require_quasi_stable(m, side, (("first argument", mu), ("second argument", mu2)))
+    ids, _, held, _ = _agents(m, mu, side)
+    held2 = _agents(m, mu2, side)[2]
+    return _everyone_chooses(m, mu, side, [(a, held(a) | held2(a)) for a in ids])
+
+
 def lambda_join(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Matching:
     """Pool both assignments and let every firm choose.
 
@@ -50,17 +89,7 @@ def lambda_join(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> M
     worker-quasi-stable set.  Inputs must be worker-quasi-stable unless
     ``check=False``, which drops every guarantee.
     """
-    if check:
-        for name, x in (("first", mu), ("second", mu2)):
-            if not is_worker_quasi_stable(m, x):
-                raise NotWorkerQuasiStable(f"{name} argument is not worker-quasi-stable")
-    edges = []
-    for f in m.firm_ids:
-        for w in m.firm_choice(f).choose(mu.of_firm(f) | mu2.of_firm(f)):
-            edges.append((f, w))
-    out = Matching(edges)
-    out.validate_for(m)
-    return out
+    return _pooled_join(m, mu, mu2, "firms", check)
 
 
 def gamma_join(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Matching:
@@ -70,33 +99,16 @@ def gamma_join(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Ma
     firm-quasi-stable set.  With linear worker orders this is the pointwise
     best employer.
     """
-    if check:
-        for name, x in (("first", mu), ("second", mu2)):
-            if not is_firm_quasi_stable(m, x):
-                raise NotFirmQuasiStable(f"{name} argument is not firm-quasi-stable")
-    edges = []
-    for w in m.worker_ids:
-        for f in m.worker_choice(w).choose(mu.of_worker(w) | mu2.of_worker(w)):
-            edges.append((f, w))
-    out = Matching(edges)
-    out.validate_for(m)
-    return out
+    return _pooled_join(m, mu, mu2, "workers", check)
 
 
-def _firm_pools(m: Market, mu: Matching) -> dict[AgentId, frozenset[AgentId]]:
-    """Every firm's :func:`B_set_of_firm`, one choice per agent."""
-    willing = _willing_firms(m, mu)
-    best = ((w, m.worker_choice(w).choose(willing[w])) for w in m.worker_ids)
-    claimants = _transpose(best, m.firm_ids)
-    return {f: claimants[f] | mu.of_firm(f) for f in m.firm_ids}
-
-
-def _worker_pools(m: Market, mu: Matching) -> dict[AgentId, frozenset[AgentId]]:
-    """Every worker's :func:`B_set_of_worker`, one choice per agent."""
-    willing = _willing_workers(m, mu)
-    picked = ((f, m.firm_choice(f).choose(willing[f])) for f in m.firm_ids)
-    offers = _transpose(picked, m.worker_ids)
-    return {w: offers[w] | mu.of_worker(w) for w in m.worker_ids}
+def _pools(m: Market, mu: Matching, side: str) -> dict[AgentId, frozenset[AgentId]]:
+    """Every agent's :func:`B_set_of_firm` or :func:`B_set_of_worker`, one choice per agent."""
+    ids, _, held, _ = _agents(m, mu, side)
+    other_ids, other_choice, _, _ = _agents(m, mu, _other(side))
+    willing = _willing(m, mu, side)
+    claims = _transpose(((b, other_choice(b).choose(willing[b])) for b in other_ids), ids)
+    return {a: claims[a] | held(a) for a in ids}
 
 
 def B_set_of_firm(m: Market, mu: Matching, f: AgentId) -> frozenset[AgentId]:
@@ -105,8 +117,8 @@ def B_set_of_firm(m: Market, mu: Matching, f: AgentId) -> frozenset[AgentId]:
     A worker claims ``f`` when ``f`` is among her chosen firms out of all
     firms willing to take her on.  Assumes ``mu`` is worker-quasi-stable.
     """
-    pools = _firm_pools(m, mu)
-    return pools[f] if f in pools else mu.of_firm(f)
+    m.firm_choice(f)  # raises UnknownAgent
+    return _pools(m, mu, "firms")[f]
 
 
 def B_set_of_worker(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
@@ -116,28 +128,24 @@ def B_set_of_worker(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
     want it.  Staying unmatched is implicitly available to the worker's
     choice.  Assumes ``mu`` is firm-quasi-stable.
     """
-    pools = _worker_pools(m, mu)
-    return pools[w] if w in pools else mu.of_worker(w)
+    m.worker_choice(w)  # raises UnknownAgent
+    return _pools(m, mu, "workers")[w]
+
+
+def _step(m: Market, mu: Matching, side: str, check: bool) -> Matching:
+    if check:
+        _require_quasi_stable(m, side, [("operator input", mu)])
+    return _everyone_chooses(m, mu, side, _pools(m, mu, side).items())
 
 
 def tarski_firm_step(m: Market, mu: Matching, check: bool = True) -> Matching:
     """One lay-off-chain round: every firm chooses from its operator pool."""
-    if check and not is_worker_quasi_stable(m, mu):
-        raise NotWorkerQuasiStable("operator input is not worker-quasi-stable")
-    pools = _firm_pools(m, mu)
-    out = Matching((f, w) for f in m.firm_ids for w in m.firm_choice(f).choose(pools[f]))
-    out.validate_for(m)
-    return out
+    return _step(m, mu, "firms", check)
 
 
 def tarski_worker_step(m: Market, mu: Matching, check: bool = True) -> Matching:
     """One vacancy-chain round: every worker chooses from her operator pool."""
-    if check and not is_firm_quasi_stable(m, mu):
-        raise NotFirmQuasiStable("operator input is not firm-quasi-stable")
-    pools = _worker_pools(m, mu)
-    out = Matching((f, w) for w in m.worker_ids for f in m.worker_choice(w).choose(pools[w]))
-    out.validate_for(m)
-    return out
+    return _step(m, mu, "workers", check)
 
 
 @dataclass(frozen=True)
@@ -195,15 +203,11 @@ def iterate_to_fixed_point(
     the market into :class:`NonConvergence` instead of a hang or a silently
     wrong answer.
     """
-    if side not in ("firms", "workers"):
-        raise ValueError("side must be 'firms' or 'workers'")
+    _require_side(side)
     step = tarski_firm_step if side == "firms" else tarski_worker_step
     improves = blair_geq_firms if side == "firms" else worker_order_geq
     if check:
-        if side == "firms" and not is_worker_quasi_stable(m, mu):
-            raise NotWorkerQuasiStable("iteration start is not worker-quasi-stable")
-        if side == "workers" and not is_firm_quasi_stable(m, mu):
-            raise NotFirmQuasiStable("iteration start is not firm-quasi-stable")
+        _require_quasi_stable(m, side, [("iteration start", mu)])
     if cap is None:
         cap = iteration_cap(m)
     visited = [mu]
@@ -290,9 +294,8 @@ def extremal_stable(m: Market, side: str, verify: bool = True, budget=None) -> E
     over budget the claim downgrades to "a stable matching reached from the
     empty matching" with ``verified_optimal=None``.
     """
-    if side not in ("firms", "workers"):
-        raise ValueError("side must be 'firms' or 'workers'")
-    operator_side = "workers" if side == "firms" else "firms"
+    _require_side(side)
+    operator_side = _other(side)
     trace = iterate_to_fixed_point(m, Matching.empty(), operator_side, check=False)
     result = trace.final
     if not verify:

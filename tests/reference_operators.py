@@ -1,9 +1,13 @@
-"""Per-pair forms of the willing sets, blocking pairs, pools and operator steps.
+"""Per-pair forms of the willing sets, blocking pairs, pools, candidates,
+quasi-stability and operator steps.
 
-The package builds these from one ``accepting`` table per side.  The forms
-here ask every (firm, worker) pair through ``choose`` instead, straight from
-the definitions, and stay as the reference the tables are tested against.
+The package builds these from one ``accepting`` table per side, with one
+side-generic body per firm/worker pair.  The forms here ask every
+(firm, worker) pair through ``choose`` instead, write each side out, follow
+the definitions, and stay as the reference the package is tested against.
 """
+
+from itertools import combinations
 
 from matchlattice import Matching, NonConvergence, OperatorTrace, blair_geq_firms, worker_order_geq
 from matchlattice.matching import blocked_by_firm, blocked_by_worker
@@ -72,11 +76,60 @@ def has_blocking_pair(m, mu):
     )
 
 
-def is_stable(m, mu):
-    individually_rational = not any(blocked_by_firm(m, mu, f) for f in m.firm_ids) and not any(
+def is_individually_rational(m, mu):
+    return not any(blocked_by_firm(m, mu, f) for f in m.firm_ids) and not any(
         blocked_by_worker(m, mu, w) for w in m.worker_ids
     )
-    return individually_rational and not has_blocking_pair(m, mu)
+
+
+def is_stable(m, mu):
+    return is_individually_rational(m, mu) and not has_blocking_pair(m, mu)
+
+
+def held_survives_all_offers(held, willing, choice):
+    """held <= C(held | T) for every subset T of ``willing``."""
+    items = sorted(willing)
+    return all(
+        held <= choice.choose(held | frozenset(t))
+        for r in range(len(items) + 1)
+        for t in combinations(items, r)
+    )
+
+
+def is_worker_quasi_stable(m, mu):
+    if not is_individually_rational(m, mu):
+        return False
+    if m.variant == "many_to_one":
+        return all(mu.firm_of(w) is None for _, w, _ in blocking_pairs(m, mu))
+    return all(
+        held_survives_all_offers(mu.of_worker(w), F_set_of_worker(m, mu, w), m.worker_choice(w))
+        for w in m.worker_ids
+    )
+
+
+def is_firm_quasi_stable(m, mu):
+    return is_individually_rational(m, mu) and all(
+        held_survives_all_offers(mu.of_firm(f), W_set_of_firm(m, mu, f), m.firm_choice(f))
+        for f in m.firm_ids
+    )
+
+
+def lambda_join(m, mu, mu2):
+    edges = []
+    for f in m.firm_ids:
+        edges.extend((f, w) for w in m.firm_choice(f).choose(mu.of_firm(f) | mu2.of_firm(f)))
+    out = Matching(edges)
+    out.validate_for(m)
+    return out
+
+
+def gamma_join(m, mu, mu2):
+    edges = []
+    for w in m.worker_ids:
+        edges.extend((f, w) for f in m.worker_choice(w).choose(mu.of_worker(w) | mu2.of_worker(w)))
+    out = Matching(edges)
+    out.validate_for(m)
+    return out
 
 
 def B_set_of_firm(m, mu, f):

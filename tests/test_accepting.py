@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchlattice import QExtensionChoice, QuotaLinearChoice, ReplicaMap, SetListChoice, UnknownAgent
+from matchlattice import (
+    B_set_of_firm,
+    B_set_of_worker,
+    F_set_of_worker,
+    QExtensionChoice,
+    QuotaLinearChoice,
+    ReplicaMap,
+    SetListChoice,
+    UnknownAgent,
+    W_set_of_firm,
+)
 from matchlattice.market import ChoiceFunction
 
 IDS = [f"a{i}" for i in range(1, 7)]
@@ -79,6 +89,17 @@ def test_accepting_raises_where_choose_raises(case, unknown):
         c.choose(held | unknown)
     with pytest.raises(UnknownAgent):
         c.accepting(held | unknown)
+
+
+@pytest.mark.parametrize(
+    "query,agent",
+    [(q, a) for q in (F_set_of_worker, B_set_of_worker) for a in ("z1", "f1")]
+    + [(q, a) for q in (W_set_of_firm, B_set_of_firm) for a in ("z1", "w1")],
+)
+def test_per_agent_sets_raise_for_ids_outside_their_side(example1, query, agent):
+    m, named = example1
+    with pytest.raises(UnknownAgent):
+        query(m, named["mu_star"], agent)
 
 
 def test_empty_set_list_accepts_nobody():

@@ -1,4 +1,5 @@
-"""The table-built sets, blocking scan and steps equal their per-pair forms.
+"""The table-built sets, blocking scan, candidates, quasi-stability and
+steps equal their per-pair forms.
 
 ``reference_operators`` keeps the per-pair definitions.  Inputs are the
 oracle sweep's small markets under arbitrary edge sets (so matchings that
@@ -20,8 +21,12 @@ from matchlattice import (
     blocking_pairs,
     build_related_market,
     enumerate_stable,
+    gamma_join,
+    is_firm_quasi_stable,
     is_stable,
+    is_worker_quasi_stable,
     iterate_to_fixed_point,
+    lambda_join,
     random_market,
     tarski_firm_step,
     tarski_worker_step,
@@ -57,7 +62,11 @@ def test_tables_match_per_pair_forms(variant, kind):
     spec = RandomMarketSpec(variant=variant, n_firms=3, n_workers=4, firm_kind=kind, worker_kind=kind)
     for seed in range(8):
         m = random_market(seed, spec)
-        for mu in [*enumerate_stable(m), *random_edge_sets(m, rng, 25)]:
+        matchings = [*enumerate_stable(m), *random_edge_sets(m, rng, 25)]
+        for mu, mu2 in zip(matchings, matchings[1:] + matchings[:1]):
+            assert outcome(lambda_join, m, mu, mu2, False) == outcome(ref.lambda_join, m, mu, mu2)
+            assert outcome(gamma_join, m, mu, mu2, False) == outcome(ref.gamma_join, m, mu, mu2)
+        for mu in matchings:
             for w in m.worker_ids:
                 assert outcome(F_set_of_worker, m, mu, w) == outcome(ref.F_set_of_worker, m, mu, w)
                 assert outcome(B_set_of_worker, m, mu, w) == outcome(ref.B_set_of_worker, m, mu, w)
@@ -70,6 +79,8 @@ def test_tables_match_per_pair_forms(variant, kind):
             assert pairs == outcome(ref.blocking_pairs, m, mu)
             assert outcome(has_blocking_pair, m, mu) == outcome(ref.has_blocking_pair, m, mu)
             assert outcome(is_stable, m, mu) == outcome(ref.is_stable, m, mu)
+            assert outcome(is_worker_quasi_stable, m, mu) == outcome(ref.is_worker_quasi_stable, m, mu)
+            assert outcome(is_firm_quasi_stable, m, mu) == outcome(ref.is_firm_quasi_stable, m, mu)
             assert outcome(tarski_firm_step, m, mu, False) == outcome(ref.firm_step, m, mu)
             assert outcome(tarski_worker_step, m, mu, False) == outcome(ref.worker_step, m, mu)
 

@@ -316,3 +316,18 @@ def test_extremal_is_optimal_over_sweep():
         for s in stable:
             assert blair_geq_firms(m, top.matching, s)
             assert worker_order_geq(m, bottom.matching, s)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: iterate_to_fixed_point(m, Matching.empty(), "agents"),
+        lambda m: extremal_stable(m, "Firms"),
+        lambda m: enumerate_quasi_stable(m, "both"),
+    ],
+    ids=["iterate_to_fixed_point", "extremal_stable", "enumerate_quasi_stable"],
+)
+def test_side_names_are_checked(example1, call):
+    m, _ = example1
+    with pytest.raises(ValueError, match="^side must be 'firms' or 'workers'$"):
+        call(m)
