@@ -554,7 +554,7 @@ def _substitutable_report(c: ChoiceFunction) -> ChoiceReport:
     items = tuple(sort_agents(c.ground))
     for s in _subsets(items):
         chosen = c.choose(s)
-        for x in sort_agents(s):
+        for x in [y for y in items if y in s]:  # s in id order
             smaller = s - {x}
             kept = chosen & smaller
             sub_chosen = c.choose(smaller)
@@ -584,7 +584,7 @@ def _consistent_report(c: ChoiceFunction) -> ChoiceReport:
     items = tuple(sort_agents(c.ground))
     for s in _subsets(items):
         chosen = c.choose(s)
-        for x in sort_agents(s - chosen):
+        for x in [y for y in items if y in s and y not in chosen]:  # s - chosen in id order
             smaller = s - {x}
             if c.choose(smaller) != chosen:
                 return ChoiceReport(

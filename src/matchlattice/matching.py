@@ -409,20 +409,21 @@ def is_firm_quasi_stable(
 # -- partial orders -----------------------------------------------------------
 
 
+def _blair_geq(m: Market, mu: Matching, mu2: Matching, side: str) -> bool:
+    """Each ``side`` agent chooses its mu-partners out of the pooled assignments."""
+    ids, choice, held, _ = _agents(m, mu, side)
+    held2 = _agents(m, mu2, side)[2]
+    return all(choice(a).choose(held(a) | held2(a)) == held(a) for a in ids)
+
+
 def blair_geq_firms(m: Market, mu: Matching, mu2: Matching) -> bool:
     """Each firm chooses its mu-partners out of the pooled assignments."""
-    return all(
-        m.firm_choice(f).choose(mu.of_firm(f) | mu2.of_firm(f)) == mu.of_firm(f)
-        for f in m.firm_ids
-    )
+    return _blair_geq(m, mu, mu2, "firms")
 
 
 def blair_geq_workers(m: Market, mu: Matching, mu2: Matching) -> bool:
     """Each worker chooses her mu-partners out of the pooled assignments."""
-    return all(
-        m.worker_choice(w).choose(mu.of_worker(w) | mu2.of_worker(w)) == mu.of_worker(w)
-        for w in m.worker_ids
-    )
+    return _blair_geq(m, mu, mu2, "workers")
 
 
 def unanimous_geq_workers(m: Market, mu: Matching, mu2: Matching) -> bool:

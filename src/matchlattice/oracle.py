@@ -3,7 +3,19 @@
 Everything here is deliberately independent of the operator machinery: joins
 and meets are found by scanning an enumerated universe against the order
 predicates, so agreement between this module and :mod:`matchlattice.tarski`
-is a real check rather than a tautology.
+is a real check rather than a tautology.  Of the market it asks nothing but
+``choose``.
+
+The stable and quasi-stable sets are searched among individually rational
+matchings only, which every one of their predicates requires.  Workers are
+filtered per option; firms are pruned while the matching is built.  A firm
+whose choice is contracting and substitutable rejects from every larger set
+what it rejects from a smaller one (``x in T <= S`` and ``x not in C(T)``
+give ``x not in C(S)``), so a rejection as soon as a worker joins it cuts
+the whole subtree.  That is proven per firm by the exhaustive validator on
+a private copy of its choice, when the ground set is within ``SUBSET_CAP``.
+Every other firm is checked once per complete matching, which is sound
+whatever its choice does.
 """
 
 from __future__ import annotations
@@ -15,11 +27,16 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, GenerationFailed, SchemaError
 from .market import (
+    SUBSET_CAP,
     AgentId,
+    ChoiceFunction,
     LinearPref,
     Market,
     QuotaLinearChoice,
     SetListChoice,
+    _subsets,
+    _substitutable_report,
+    sort_agents,
     validate_consistent,
     validate_substitutable,
 )
@@ -77,17 +94,61 @@ def count_matchings(m: Market, ir_workers_only: bool = False) -> int:
     return total
 
 
+def _prunes_by_prefix(c: ChoiceFunction) -> bool:
+    """Whether a rejection from a set is a rejection from all its supersets.
+
+    Holds for a contracting, substitutable choice; both are checked
+    exhaustively on ``c``, which should be a throwaway copy: the checks fill
+    its memo with every subset of the ground set.
+    """
+    return (
+        all(c.choose(s) <= s for s in _subsets(tuple(sort_agents(c.ground))))
+        and _substitutable_report(c).ok
+    )
+
+
+def _firm_checks(m: Market):
+    """``(prefix, leaf)``: the firm choices that individual rationality is checked on.
+
+    ``prefix`` maps each firm that prunes by prefix to a copy of its choice;
+    ``leaf`` lists ``(firm, choice)`` for the rest.  Copies keep the checks
+    out of the market's memos; a choice that cannot be copied is used as is.
+    """
+    prefix: dict[AgentId, ChoiceFunction] = {}
+    leaf: list[tuple[AgentId, ChoiceFunction]] = []
+    for f in m.firm_ids:
+        c = m.firm_choice(f)
+        try:
+            own = c.rebased(c.ground)
+        except NotImplementedError:
+            leaf.append((f, c))
+            continue
+        if len(c.ground) <= SUBSET_CAP and _prunes_by_prefix(c.rebased(c.ground)):
+            prefix[f] = own
+        else:
+            leaf.append((f, own))
+    return prefix, leaf
+
+
 def enumerate_matchings(
     m: Market,
     budget: EnumerationBudget | None = None,
     ir_workers_only: bool = False,
+    ir_firms_only: bool = False,
 ) -> Iterator[Matching]:
     """Every variant-valid matching exactly once, deterministically ordered.
 
     Workers are processed in id order and each takes a firm set in
     (size, id) order.  With ``ir_workers_only`` the per-worker options are
     restricted to sets the worker would keep, which drops nothing when the
-    consumer filters on individual rationality anyway.
+    consumer filters on individual rationality anyway.  ``ir_firms_only``
+    likewise keeps only matchings where every firm keeps its whole
+    assignment, ``C_f(mu(f)) == mu(f)``, in the same order.  A firm whose
+    choice is contracting and substitutable is checked as each worker joins
+    it, and a rejection skips every matching that extends the partial one:
+    substitutability gives ``x in T <= S, x not in C(T) => x not in C(S)``.
+    Other firms are checked once per complete matching.  The budget counts
+    the matchings before this filter.
     """
     budget = budget or DEFAULT_BUDGET
     if len(m.firm_ids) > budget.max_firms or len(m.worker_ids) > budget.max_workers:
@@ -100,25 +161,45 @@ def enumerate_matchings(
         raise BudgetExceeded(f"{total} matchings exceed budget {budget.max_matchings}")
 
     workers = m.worker_ids
-    options = [_worker_options(m, w, ir_workers_only) for w in workers]
+    # Firms in id order, so that the checks run in an order fixed by the market.
+    options = [[sort_agents(fs) for fs in _worker_options(m, w, ir_workers_only)] for w in workers]
+    prefix, leaf = _firm_checks(m) if ir_firms_only else ({}, [])
+    held = {f: frozenset() for f in m.firm_ids}
 
     def rec(i: int, edges: list[tuple[AgentId, AgentId]]) -> Iterator[Matching]:
         if i == len(workers):
-            yield Matching(edges)
+            if all(c.choose(held[f]) == held[f] for f, c in leaf):
+                yield Matching(edges)
             return
         w = workers[i]
         for fs in options[i]:
-            added = [(f, w) for f in fs]
-            yield from rec(i + 1, edges + added)
+            if ir_firms_only:
+                grown = [(f, held[f] | {w}) for f in fs]
+                if any(f in prefix and prefix[f].choose(s) != s for f, s in grown):
+                    continue
+                for f, s in grown:
+                    held[f] = s
+            yield from rec(i + 1, edges + [(f, w) for f in fs])
+            if ir_firms_only:
+                for f in fs:
+                    held[f] = held[f] - {w}
 
-    yield from rec(0, [])
+    try:
+        yield from rec(0, [])
+    finally:
+        del rec  # rec is in its own closure; free the copies now, not at the next collection
 
 
 def enumerate_stable(m: Market, budget: EnumerationBudget | None = None) -> list[Matching]:
-    """The stable set (worker-IR pruning is sound: stability implies it)."""
+    """The stable set, searched among individually rational matchings only.
+
+    Stability implies individual rationality on both sides, so neither the
+    worker-IR options nor the firm-IR pruning of :func:`enumerate_matchings`
+    drops a stable matching or changes their order.
+    """
     return [
         mu
-        for mu in enumerate_matchings(m, budget, ir_workers_only=True)
+        for mu in enumerate_matchings(m, budget, ir_workers_only=True, ir_firms_only=True)
         if is_stable(m, mu)
     ]
 
@@ -126,11 +207,17 @@ def enumerate_stable(m: Market, budget: EnumerationBudget | None = None) -> list
 def enumerate_quasi_stable(
     m: Market, side: str, budget: EnumerationBudget | None = None
 ) -> list[Matching]:
-    """All worker- (side='workers') or firm- (side='firms') quasi-stable matchings."""
+    """All worker- (side='workers') or firm- (side='firms') quasi-stable matchings.
+
+    Both predicates require individual rationality, so the search is pruned
+    as in :func:`enumerate_stable`.
+    """
     _require_side(side)
     pred = is_worker_quasi_stable if side == "workers" else is_firm_quasi_stable
     return [
-        mu for mu in enumerate_matchings(m, budget, ir_workers_only=True) if pred(m, mu)
+        mu
+        for mu in enumerate_matchings(m, budget, ir_workers_only=True, ir_firms_only=True)
+        if pred(m, mu)
     ]
 
 
@@ -311,7 +398,13 @@ def _random_quota_linear(rng, ids, density, quota_max) -> QuotaLinearChoice:
 
 
 def _random_set_list(rng, ids, density, max_list_len, retry_cap) -> SetListChoice:
-    """Rejection-sample an order of subsets until the axioms hold."""
+    """Rejection-sample an order of subsets until the axioms hold.
+
+    A set list chooses through its listed ids alone, ``C(S) == C(S & L)``,
+    so the axioms hold over ``ids`` exactly when they hold over ``L``.  They
+    are checked over ``L``, which keeps the check within the validators' cap
+    however many ids there are.
+    """
     for _ in range(retry_cap):
         pool = _random_pool(rng, ids, density)
         if not pool:
@@ -324,9 +417,9 @@ def _random_set_list(rng, ids, density, max_list_len, retry_cap) -> SetListChoic
             if entry not in seen:
                 seen.add(entry)
                 entries.append(entry)
-        candidate = SetListChoice(entries, ground=ids)
-        if validate_substitutable(candidate).ok and validate_consistent(candidate).ok:
-            return candidate
+        listed = SetListChoice(entries)
+        if validate_substitutable(listed).ok and validate_consistent(listed).ok:
+            return SetListChoice(entries, ground=ids)
     raise GenerationFailed(f"no substitutable set list after {retry_cap} attempts")
 
 

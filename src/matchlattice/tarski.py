@@ -148,6 +148,14 @@ def tarski_worker_step(m: Market, mu: Matching, check: bool = True) -> Matching:
     return _step(m, mu, "workers", check)
 
 
+def _improvement_order(side: str):
+    """The order a ``side`` walk climbs: the firms' Blair order or the worker order.
+
+    Looked up per call, so a wrapper installed on the module sees it.
+    """
+    return blair_geq_firms if side == "firms" else worker_order_geq
+
+
 @dataclass(frozen=True)
 class OperatorTrace:
     """The matchings visited on the way to a fixed point."""
@@ -173,11 +181,7 @@ class OperatorTrace:
             }
             if i > 0:
                 prev = self.matchings[i - 1]
-                entry["improves"] = (
-                    blair_geq_firms(m, mu, prev)
-                    if self.side == "firms"
-                    else worker_order_geq(m, mu, prev)
-                )
+                entry["improves"] = _improvement_order(self.side)(m, mu, prev)
             entries.append(entry)
         return {"side": self.side, "steps": self.steps, "trace": entries}
 
@@ -205,7 +209,7 @@ def iterate_to_fixed_point(
     """
     _require_side(side)
     step = tarski_firm_step if side == "firms" else tarski_worker_step
-    improves = blair_geq_firms if side == "firms" else worker_order_geq
+    improves = _improvement_order(side)
     if check:
         _require_quasi_stable(m, side, [("iteration start", mu)])
     if cap is None:

@@ -1,6 +1,11 @@
 """Enumeration, brute-force lattice operations, random market generation."""
 
+import hashlib
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchlattice import (
     BudgetExceeded,
@@ -9,6 +14,7 @@ from matchlattice import (
     LinearPref,
     Market,
     Matching,
+    QuotaLinearChoice,
     RandomMarketSpec,
     SetListChoice,
     brute_join,
@@ -16,13 +22,21 @@ from matchlattice import (
     enumerate_matchings,
     enumerate_quasi_stable,
     enumerate_stable,
+    is_firm_quasi_stable,
+    is_stable,
+    is_worker_quasi_stable,
     lambda_join,
     random_market,
     stable_join_firms,
     validate_market,
+    validate_substitutable,
     verify_lattice,
 )
-from matchlattice.oracle import count_matchings
+from matchlattice.market import ChoiceFunction
+from matchlattice.oracle import _firm_checks, count_matchings
+
+VARIANTS = ("many_to_one", "many_to_many_responsive", "many_to_many_sub")
+FIRM_KINDS = ("quota_linear", "set_list", "mixed")
 
 
 def m2o(firm_lists, worker_orders):
@@ -92,6 +106,12 @@ def test_budget_raised_on_same_inputs_at_call_time():
         assert raised(enumerate_stable, m, budget) == exceeded
         assert raised(enumerate_quasi_stable, m, "workers", budget) == exceeded
         assert raised(enumerate_quasi_stable, m, "firms", budget) == exceeded
+        assert raised(
+            lambda: list(enumerate_matchings(m, budget, ir_workers_only=True, ir_firms_only=True))
+        ) == exceeded
+        assert raised(lambda: list(enumerate_matchings(m, budget, ir_firms_only=True))) == raised(
+            lambda: list(enumerate_matchings(m, budget))
+        )
 
 
 def test_enumerate_stable_goldens(example1):
@@ -222,3 +242,173 @@ def test_oracle_engine_agreement_spot_check():
         for a in stable:
             for b in stable:
                 assert stable_join_firms(m, a, b) == brute_join(m, "blair_firms", a, b, stable)
+
+
+def test_set_list_generator_draws_the_same_markets():
+    # sha256 of the JSON of these draws, pinned: checking the set-list
+    # axioms over the listed ids must not change any market drawn.
+    draws = [
+        random_market(
+            seed, RandomMarketSpec(variant, n, n + 1, density=density, firm_kind=kind, worker_kind=kind)
+        ).to_json()
+        for variant in VARIANTS
+        for kind in FIRM_KINDS
+        for n in (2, 4, 6)
+        for density in (0.5, 0.9)
+        for seed in range(4)
+    ]
+    digest = hashlib.sha256(json.dumps(draws, sort_keys=True).encode()).hexdigest()
+    assert digest == "fba2e80f8559af3de88bb7981cab18db25eb2ab11f93a7317d5230b37b2935a8"
+
+
+@pytest.mark.parametrize("kind", ["set_list", "mixed"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_set_list_generator_past_the_validation_cap(variant, kind):
+    spec = RandomMarketSpec(variant, 20, 20, density=0.5, firm_kind=kind, worker_kind=kind)
+    for seed in range(3):
+        m = random_market(seed, spec)
+        assert len(m.firm_ids) == len(m.worker_ids) == 20
+        for f in m.firm_ids:
+            assert len(m.firm_choice(f).ground) == 20
+
+
+# -- firm individual rationality inside the enumeration ---------------------
+
+
+def firm_ir(m, mu):
+    return all(m.firm_choice(f).choose(mu.of_firm(f)) == mu.of_firm(f) for f in m.firm_ids)
+
+
+def assert_pruning_loses_nothing(m):
+    """The firm-IR stream and every IR consumer equal the filtered full stream."""
+    full = list(enumerate_matchings(m, ir_workers_only=True))
+    pruned = list(enumerate_matchings(m, ir_workers_only=True, ir_firms_only=True))
+    assert pruned == [mu for mu in full if firm_ir(m, mu)]
+    everything = list(enumerate_matchings(m))
+    assert list(enumerate_matchings(m, ir_firms_only=True)) == [
+        mu for mu in everything if firm_ir(m, mu)
+    ]
+    assert enumerate_stable(m) == [mu for mu in full if is_stable(m, mu)]
+    assert enumerate_quasi_stable(m, "workers") == [mu for mu in full if is_worker_quasi_stable(m, mu)]
+    assert enumerate_quasi_stable(m, "firms") == [mu for mu in full if is_firm_quasi_stable(m, mu)]
+
+
+@st.composite
+def sweep_markets(draw):
+    kind = draw(st.sampled_from(FIRM_KINDS))
+    spec = RandomMarketSpec(
+        draw(st.sampled_from(VARIANTS)),
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 4)),
+        density=draw(st.sampled_from([0.5, 0.8, 1.0])),
+        firm_kind=kind,
+        worker_kind=kind,
+    )
+    return random_market(draw(st.integers(0, 2**16)), spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_markets())
+def test_pruned_enumeration_equals_filtered(m):
+    assert_pruning_loses_nothing(m)
+
+
+def choice(entry):
+    if entry[0] == "set_list":
+        return SetListChoice(entry[1])
+    return QuotaLinearChoice(entry[1], entry[2])
+
+
+# Markets with one non-substitutable set list each (f1, w1, f1).
+NON_SUBSTITUTABLE = (
+    (
+        "many_to_one",
+        {"f1": ("set_list", [["w1", "w2"], ["w1"]]), "f2": ("quota_linear", ["w3", "w2", "w1"], 2)},
+        {"w1": ["f1", "f2"], "w2": ["f2", "f1"], "w3": ["f2"]},
+        None,
+    ),
+    (
+        "many_to_many_sub",
+        {"f1": ("quota_linear", ["w1", "w2"], 2), "f2": ("quota_linear", ["w2", "w1"], 1)},
+        {"w1": ("set_list", [["f1", "f2"], ["f2"]]), "w2": ("quota_linear", ["f1", "f2"], 2)},
+        None,
+    ),
+    (
+        "many_to_many_responsive",
+        {"f1": ("set_list", [["w2", "w3"], ["w1"]]), "f2": ("quota_linear", ["w1", "w3"], 1)},
+        {"w1": ["f2", "f1"], "w2": ["f1"], "w3": ["f1", "f2"]},
+        {"w1": 2, "w2": 1, "w3": 2},
+    ),
+)
+
+
+def non_substitutable_market(variant, firms, workers, quotas):
+    firm_choices = {f: choice(e) for f, e in firms.items()}
+    if variant == "many_to_many_sub":
+        return Market(variant, firm_choices, worker_choices={w: choice(e) for w, e in workers.items()})
+    prefs = {w: LinearPref(order) for w, order in workers.items()}
+    return Market(variant, firm_choices, worker_prefs=prefs, worker_quotas=quotas)
+
+
+@pytest.mark.parametrize("spec", NON_SUBSTITUTABLE, ids=[s[0] for s in NON_SUBSTITUTABLE])
+def test_non_substitutable_firms_are_checked_on_complete_matchings(spec):
+    m = non_substitutable_market(*spec)
+    prefix, leaf = _firm_checks(m)
+    substitutable = validate_market(m).agents
+    for f in m.firm_ids:
+        assert (f in prefix) == substitutable[f][0].ok
+    assert [f for f, _ in leaf] == [f for f in m.firm_ids if f not in prefix]
+    assert_pruning_loses_nothing(m)
+
+
+class Padded(ChoiceFunction):
+    """Substitutable but not contracting: ``w3`` is chosen even when not offered."""
+
+    def _choose(self, s):
+        return s | {"w3"}
+
+    def rebased(self, ground):
+        return Padded(ground)
+
+
+def test_non_contracting_choice_is_checked_on_complete_matchings():
+    m = Market(
+        "many_to_one",
+        {"f1": Padded({"w1", "w2", "w3"}), "f2": SetListChoice([["w2", "w3"], ["w2"], ["w3"], ["w1"]])},
+        worker_prefs={"w1": LinearPref(["f1", "f2"]), "w2": LinearPref(["f2", "f1"]), "w3": LinearPref(["f1"])},
+    )
+    assert validate_substitutable(m.firm_choice("f1")).ok
+    prefix, leaf = _firm_checks(m)
+    assert list(prefix) == ["f2"] and [f for f, _ in leaf] == ["f1"]
+    assert Matching([("f1", "w1"), ("f1", "w3")]) in enumerate_matchings(m, ir_firms_only=True)
+    assert_pruning_loses_nothing(m)
+
+
+class Uncopied(ChoiceFunction):
+    """A choice without ``rebased``; it chooses like the set list it wraps."""
+
+    def __init__(self, inner):
+        super().__init__(inner.ground)
+        self.inner = inner
+
+    def _choose(self, s):
+        return self.inner.choose(s)
+
+
+@pytest.mark.parametrize("subsets", [[["w1", "w2"], ["w1"]], [["w1"], ["w2"]]], ids=["non-sub", "sub"])
+def test_choice_without_rebased_is_checked_on_complete_matchings(subsets):
+    m = m2o(
+        {"f1": subsets, "f2": [["w2", "w3"], ["w2"], ["w3"], ["w1"]]},
+        {"w1": ["f1", "f2"], "w2": ["f2", "f1"], "w3": ["f1", "f2"]},
+    )
+    m._firm_choices["f1"] = uncopied = Uncopied(m.firm_choice("f1"))
+    prefix, leaf = _firm_checks(m)
+    assert list(prefix) == ["f2"] and leaf == [("f1", uncopied)]
+    assert_pruning_loses_nothing(m)
+
+
+def test_firm_checks_leave_the_market_memos_alone(example2):
+    m = Market.from_json(example2[0].to_json())
+    budget = EnumerationBudget(max_firms=7, max_workers=10)
+    assert sum(1 for _ in enumerate_matchings(m, budget, ir_workers_only=True, ir_firms_only=True)) > 0
+    assert all(not m.firm_choice(f)._memo for f in m.firm_ids)
