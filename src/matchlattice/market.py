@@ -9,12 +9,12 @@ Three market variants share one engine:
 * ``many_to_many_sub``   -- both sides have set-valued choice functions.
 
 Linear orders induce choice functions (take the best ``quota`` acceptable
-partners offered), so every variant exposes a choice function per agent and
-:mod:`matchlattice.tarski` does not branch on the variant.
-:mod:`matchlattice.matching` does, wherever a variant has a textbook form of
-its own: validity of a matching, individual rationality, the worker side of
-a blocking pair, the many-to-one willing sets and worker order, and
-many-to-one worker-quasi-stability.
+partners offered), so every variant exposes a choice function per agent.
+:mod:`matchlattice.tarski` does not branch on the variant, and
+:mod:`matchlattice.matching` reads its predicates and orders off the choice
+functions too.  It still branches on the variant for which edge sets are
+matchings of the market, for the label of a blocking pair, and for how a
+many-to-one worker holding an unacceptable firm ranks the others.
 
 Beyond those forms the two sides are duals: willing sets, quasi-stability,
 candidates, pools and steps each have one side-generic body in

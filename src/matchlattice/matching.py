@@ -4,11 +4,14 @@ A matching is a mutually consistent bipartite assignment: ``w in mu(f)``
 exactly when ``f in mu(w)``.  It is stored as an immutable edge set with
 both per-side views derived once, so the invariant holds by construction.
 
-The predicates treat every market through its per-agent choice functions.
-Where a variant has its own textbook formulation (a worker's linear order,
-the responsive blocking clauses) the dispatch applies that formulation; the
-general substitutable form coincides with it on individually rational
-matchings and tests pin that down.
+Individual rationality, blocking, quasi-stability and the orders are read
+off each agent's choice function, as the paper defines them; a worker's
+linear order (with its quota) is just the choice function it induces.  The
+variant still decides three things here: which edge sets are matchings of
+the market (:meth:`Matching.validate_for`), the label a blocking pair
+carries, and how a many-to-one worker holding an unacceptable firm ranks
+the others (the linear order's natural-id tie-break, which only the willing
+sets of non-individually-rational matchings can see).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import partial
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CapExceeded, SchemaError
-from .market import AgentId, Market, _subsets, agent_key, sort_agents
+from .market import AgentId, Market, QuotaLinearChoice, _subsets, agent_key, sort_agents
 
 
 class Matching:
@@ -87,24 +90,27 @@ class Matching:
         return f"Matching({pairs})"
 
     def validate_for(self, m: Market) -> None:
-        """Raise SchemaError if this assignment is not a matching of ``m``."""
-        firms = set(m.firm_ids)
-        workers = set(m.worker_ids)
-        for f, w in self._edges:
-            if f not in firms:
-                raise SchemaError(f"matching references unknown firm {f!r}")
-            if w not in workers:
-                raise SchemaError(f"matching references unknown worker {w!r}")
-        if m.variant == "many_to_one":
-            for w, fs in self._by_worker.items():
-                if len(fs) > 1:
-                    raise SchemaError(f"worker {w} holds {len(fs)} firms in a many-to-one market")
-        elif m.variant == "many_to_many_responsive":
-            for w, fs in self._by_worker.items():
-                if len(fs) > m.worker_quota(w):
-                    raise SchemaError(
-                        f"worker {w} holds {len(fs)} firms but has quota {m.worker_quota(w)}"
-                    )
+        """Raise SchemaError if this assignment is not a matching of ``m``.
+
+        Of several offenders the message names the first in natural id
+        order, so it does not depend on hash order.
+        """
+        unknown = self._by_firm.keys() - m.firm_ids
+        if unknown:
+            raise SchemaError(f"matching references unknown firm {sort_agents(unknown)[0]!r}")
+        unknown = self._by_worker.keys() - m.worker_ids
+        if unknown:
+            raise SchemaError(f"matching references unknown worker {sort_agents(unknown)[0]!r}")
+        if m.variant == "many_to_many_sub" or len(self._by_worker) == len(self._edges):
+            return  # quotas are at least 1, so one job each fits every worker
+        quota = m.worker_quotas
+        over = [w for w, fs in self._by_worker.items() if len(fs) > quota[w]]
+        if over:
+            w = sort_agents(over)[0]
+            n = len(self._by_worker[w])
+            if m.variant == "many_to_one":
+                raise SchemaError(f"worker {w} holds {n} firms in a many-to-one market")
+            raise SchemaError(f"worker {w} holds {n} firms but has quota {quota[w]}")
 
     # -- JSON encoding ------------------------------------------------------
 
@@ -162,14 +168,8 @@ def blocked_by_firm(m: Market, mu: Matching, f: AgentId) -> bool:
 
 
 def blocked_by_worker(m: Market, mu: Matching, w: AgentId) -> bool:
+    """True when the worker would quit a job: mu(w) != C_w(mu(w))."""
     held = mu.of_worker(w)
-    if m.variant == "many_to_one":
-        f = mu.firm_of(w)
-        return f is not None and not m.worker_pref(w).is_acceptable(f)
-    if m.variant == "many_to_many_responsive":
-        if len(held) > m.worker_quota(w):
-            return True
-        return any(not m.worker_pref(w).is_acceptable(f) for f in held)
     return m.worker_choice(w).choose(held) != held
 
 
@@ -182,36 +182,13 @@ def is_individually_rational(m: Market, mu: Matching) -> bool:
 # -- pair blocking ----------------------------------------------------------
 
 
-def _worker_side_block_reason(m: Market, mu: Matching, f: AgentId, w: AgentId) -> str | None:
-    """Why ``w`` would take ``f`` on, or None if she would not."""
-    held = mu.of_worker(w)
-    if m.variant == "many_to_one":
-        current = mu.firm_of(w)
-        if m.worker_pref(w).prefers(f, current):
-            return "worker_prefers"
-        return None
-    if m.variant == "many_to_many_responsive":
-        pref = m.worker_pref(w)
-        if not pref.is_acceptable(f):
-            return None
-        if len(held) == m.worker_quota(w):
-            if any(pref.prefers(f, g) for g in held):
-                return "swap"
-            return None
-        if len(held) < m.worker_quota(w):
-            return "vacancy"
-        return None
-    if f in m.worker_choice(w).choose(held | {f}):
-        return "worker_chooses"
-    return None
-
-
 def blocking_pair_reason(m: Market, mu: Matching, f: AgentId, w: AgentId) -> str | None:
     if f in mu.of_worker(w):
         return None
     if w not in m.firm_choice(f).choose(mu.of_firm(f) | {w}):
         return None
-    return _worker_side_block_reason(m, mu, f, w)
+    takes_on, reason = _worker_block_clause(m, mu, w)
+    return reason if f in takes_on else None
 
 
 def _worker_takes_on(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
@@ -231,19 +208,17 @@ def _worker_takes_on(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
 def _worker_block_clause(m: Market, mu: Matching, w: AgentId):
     """``(firms, reason)``: the firms ``w`` would block with and why.
 
-    None when a responsive worker is over quota or holds an unacceptable
-    firm; :func:`_worker_side_block_reason` then answers pair by pair.
+    ``reason`` labels the variant's textbook clause; it is None for a
+    responsive worker over quota, who blocks with nobody.
     """
     if m.variant == "many_to_one":
-        return _worker_takes_on(m, mu, w), "worker_prefers"
-    held = mu.of_worker(w)
-    if m.variant == "many_to_many_responsive":
-        pref = m.worker_pref(w)
-        quota = m.worker_quota(w)
-        if len(held) > quota or not all(pref.is_acceptable(g) for g in held):
-            return None
-        return m.worker_choice(w).accepting(held), "swap" if len(held) == quota else "vacancy"
-    return m.worker_choice(w).accepting(held), "worker_chooses"
+        reason = "worker_prefers"
+    elif m.variant == "many_to_many_responsive":
+        held, quota = len(mu.of_worker(w)), m.worker_quota(w)
+        reason = "swap" if held == quota else "vacancy" if held < quota else None
+    else:
+        reason = "worker_chooses"
+    return _worker_takes_on(m, mu, w), reason
 
 
 def _blocking_pairs(m: Market, mu: Matching) -> Iterator[BlockingPair]:
@@ -253,18 +228,14 @@ def _blocking_pairs(m: Market, mu: Matching) -> Iterator[BlockingPair]:
     worker's side is computed the first time a firm reaches it.
     """
     position = {w: i for i, w in enumerate(m.worker_ids)}.__getitem__
-    clauses: dict[AgentId, tuple | None] = {}
+    clauses: dict[AgentId, tuple] = {}
     for f in m.firm_ids:
         held = mu.of_firm(f)
         for w in sorted(m.firm_choice(f).accepting(held) - held, key=position):
             if w not in clauses:
                 clauses[w] = _worker_block_clause(m, mu, w)
-            clause = clauses[w]
-            if clause is None:
-                reason = _worker_side_block_reason(m, mu, f, w)
-            else:
-                reason = clause[1] if f in clause[0] else None
-            if reason is not None:
+            takes_on, reason = clauses[w]
+            if reason is not None and f in takes_on:
                 yield BlockingPair(f, w, reason)
 
 
@@ -349,10 +320,18 @@ def _held_survives_all_offers(
 ) -> bool:
     """Check held <= C(held u T) for every T inside ``willing``.
 
-    Under substitutability the largest T dominates, so opting in to that
-    assumption reduces the check to the full set and the singletons.
+    Empty holdings always survive.  Under substitutability the largest T
+    dominates (a held partner chosen from ``held | willing`` stays chosen
+    from every smaller offer), so the check reduces to the full set and the
+    singletons.  That holds for every :class:`QuotaLinearChoice`, which is
+    substitutable by construction, and for any choice when the caller
+    assumes it; every other choice is checked over all subsets of
+    ``willing``, and more than ``cap`` willing partners raise
+    :class:`CapExceeded`.
     """
-    if assume_substitutable:
+    if not held:
+        return True
+    if assume_substitutable or isinstance(choice, QuotaLinearChoice):
         candidates = [willing - held] + [frozenset([x]) for x in sort_agents(willing - held)]
         return all(held <= choice.choose(held | t) for t in candidates)
     if len(willing) > cap:
@@ -383,15 +362,14 @@ def is_worker_quasi_stable(
 ) -> bool:
     """Blocking may only involve workers whose current jobs all survive.
 
-    Many-to-one: individually rational and every blocking pair involves an
-    unemployed worker.  Many-to-many: individually rational and each worker's
-    assignment survives any offer subset from her willing firms.
+    Individually rational, and each worker's assignment survives any offer
+    subset from her willing firms.  For a many-to-one worker with a linear
+    order this is the textbook form on individually rational matchings:
+    every blocking pair involves an unemployed worker.
     """
-    if not is_individually_rational(m, mu):
-        return False
-    if m.variant == "many_to_one":
-        return all(mu.firm_of(p.worker) is None for p in blocking_pairs(m, mu))
-    return _holdings_survive(m, mu, "workers", cap, assume_substitutable)
+    return is_individually_rational(m, mu) and _holdings_survive(
+        m, mu, "workers", cap, assume_substitutable
+    )
 
 
 def is_firm_quasi_stable(
@@ -436,7 +414,12 @@ def unanimous_geq_workers(m: Market, mu: Matching, mu2: Matching) -> bool:
 
 
 def worker_order_geq(m: Market, mu: Matching, mu2: Matching) -> bool:
-    """The worker-side improvement order: unanimous in many-to-one, Blair otherwise."""
-    if m.variant == "many_to_one":
-        return unanimous_geq_workers(m, mu, mu2)
+    """The worker-side improvement order: the workers' Blair order in every variant.
+
+    For many-to-one workers it agrees with :func:`unanimous_geq_workers`
+    unless some worker holds an unacceptable firm in both matchings: her
+    choice drops it, so the Blair order does not rank ``mu`` at or above
+    ``mu2``, while the unanimous order falls back on the linear order's
+    natural-id tie-break.
+    """
     return blair_geq_workers(m, mu, mu2)

@@ -1,0 +1,61 @@
+"""CLI transcripts of the predicate and walk commands on the bundled examples.
+
+For every named matching of an example, a transcript runs ``stable-check``,
+``quasi-check`` (default cap, ``--cap 1``, ``--assume-substitutable``) and
+``iterate --trace`` (plain and ``--no-check``) on both sides, in text and
+JSON, and records each command line with its exit code, stdout and stderr.
+``tests/test_cli.py`` diffs them against ``tests/golden/predicates_<name>.txt``.
+
+Regenerate the goldens (only when an output change is intended) with
+
+    PYTHONHASHSEED=0 PYTHONPATH=src python tests/cli_transcripts.py
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from matchlattice.cli import load_bundle, main
+
+GOLDEN = Path(__file__).parent / "golden"
+EXAMPLES = ("example1", "example2")
+
+
+def golden_path(name: str) -> Path:
+    return GOLDEN / f"predicates_{name}.txt"
+
+
+def _commands(name: str, matching: str):
+    yield ["stable-check", name, matching]
+    for side in ("firms", "workers"):
+        for extra in ([], ["--cap", "1"], ["--assume-substitutable"]):
+            yield ["quasi-check", name, matching, "--side", side, *extra]
+        for extra in ([], ["--no-check"]):
+            yield ["iterate", name, matching, "--side", side, "--trace", *extra]
+
+
+def transcript(name: str) -> str:
+    chunks = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, mu in load_bundle(name)["matchings"].items():
+            path = Path(tmp) / f"{label}.json"
+            path.write_text(json.dumps(mu))
+            for argv in _commands(name, str(path)):
+                for fmt in ("text", "json"):
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = main([*argv, "--format", fmt])
+                    shown = " ".join([*argv, "--format", fmt]).replace(str(path), path.name)
+                    chunks.append(
+                        f"$ matchlattice {shown}\n[exit {code}]\n{out.getvalue()}"
+                        + (f"[stderr]\n{err.getvalue()}" if err.getvalue() else "")
+                    )
+    return "\n".join(chunks)
+
+
+if __name__ == "__main__":
+    for name in sys.argv[1:] or EXAMPLES:
+        golden_path(name).write_text(transcript(name))

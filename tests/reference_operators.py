@@ -10,7 +10,7 @@ the definitions, and stay as the reference the package is tested against.
 from itertools import combinations
 
 from matchlattice import Matching, NonConvergence, OperatorTrace, blair_geq_firms, worker_order_geq
-from matchlattice.matching import blocked_by_firm, blocked_by_worker
+from matchlattice.matching import blocked_by_firm
 from matchlattice.market import agent_key
 
 
@@ -74,6 +74,15 @@ def has_blocking_pair(m, mu):
     return any(
         blocking_pair_reason(m, mu, f, w) is not None for f in m.firm_ids for w in m.worker_ids
     )
+
+
+def blocked_by_worker(m, mu, w):
+    """Linear workers: over quota or holding an unacceptable firm; else C_w(mu(w)) != mu(w)."""
+    held = mu.of_worker(w)
+    if m.variant == "many_to_many_sub":
+        return m.worker_choice(w).choose(held) != held
+    pref = m.worker_pref(w)
+    return len(held) > m.worker_quota(w) or not all(pref.is_acceptable(f) for f in held)
 
 
 def is_individually_rational(m, mu):

@@ -7,6 +7,8 @@ import pytest
 
 from matchlattice.cli import load_bundle, main
 
+import cli_transcripts
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -227,6 +229,26 @@ def test_demo_golden_transcripts(capsys):
         assert code == 0
         golden = (GOLDEN / f"demo_{name}.txt").read_text()
         assert out == golden
+
+
+@pytest.mark.parametrize("name", cli_transcripts.EXAMPLES)
+def test_predicate_golden_transcripts(name):
+    """stable-check, quasi-check and iterate --trace on every named matching."""
+    assert cli_transcripts.transcript(name) == cli_transcripts.golden_path(name).read_text()
+
+
+@pytest.mark.parametrize("variant", ["many_to_one", "many_to_many_responsive", "many_to_many_sub"])
+def test_empty_matching_walks_and_checks_at_40x40(capsys, tmp_path, variant):
+    """Walks and quasi-checks from the empty matching answer past the default cap."""
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"assignments": {}}))
+    for command in ("iterate", "quasi-check"):
+        for side in ("firms", "workers"):
+            code, out, err = run(
+                capsys, command, f"random:{variant}:40x40", empty, "--side", side, "--seed", 1
+            )
+            assert code == 0, err
+            assert command == "iterate" or out.endswith("quasi-stable: true\n")
 
 
 def test_demo_json_shape(capsys):

@@ -1,6 +1,13 @@
 """Matching invariants, blocking, stability, quasi-stability, orders."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import matchlattice
 
 from matchlattice import (
     F_set_of_worker,
@@ -9,6 +16,7 @@ from matchlattice import (
     Matching,
     QuotaLinearChoice,
     SchemaError,
+    UnknownAgent,
     W_set_of_firm,
     blair_geq_firms,
     blair_geq_workers,
@@ -73,6 +81,37 @@ def test_responsive_quota_constraint():
         Matching([("f1", "w1"), ("f2", "w1")]).validate_for(m)
 
 
+_OFFENDERS = """
+from matchlattice import Market, Matching, SchemaError
+from matchlattice.cli import load_bundle
+
+m = Market.from_json(load_bundle("example1")["market"])
+for edges in (
+    [("f1", "w1"), ("f2", "w1"), ("f1", "w2"), ("f2", "w2")],
+    [("f1", "z1"), ("f2", "z2")],
+    [("g1", "w1"), ("g2", "w2")],
+):
+    try:
+        Matching(edges).validate_for(m)
+    except SchemaError as e:
+        print(e)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "2"])
+def test_validate_for_names_the_first_offender_under_any_hash_seed(hash_seed):
+    package_root = str(Path(matchlattice.__file__).parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": package_root}
+    out = subprocess.run(
+        [sys.executable, "-c", _OFFENDERS], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == [
+        "worker w1 holds 2 firms in a many-to-one market",
+        "matching references unknown worker 'z1'",
+        "matching references unknown firm 'g1'",
+    ]
+
+
 # -- individual blocking -------------------------------------------------------
 
 
@@ -91,6 +130,8 @@ def test_blocked_by_worker_goldens(example1, example2):
         assert not blocked_by_worker(m1, named1["mu_over"], w)
     # w2 finds only f3, f2 acceptable
     assert blocked_by_worker(m1, Matching([("f5", "w2")]), "w2")
+    with pytest.raises(UnknownAgent):
+        blocked_by_worker(m1, Matching.empty(), "nope")
 
     m2, _ = example2
     assert not blocked_by_worker(m2, Matching([("f2", "w2")]), "w2")
@@ -102,6 +143,17 @@ def test_individually_rational_goldens(example1):
     assert is_individually_rational(m, named["mu_under"])
     assert is_individually_rational(m, Matching.empty())
     assert is_individually_rational(m, named["mu_boxed"])
+
+
+def test_two_jobs_in_many_to_one_answer_false(example1):
+    """Not a matching of the market, but the predicates answer from the choices."""
+    m, _ = example1
+    two_jobs = Matching([("f1", "w1"), ("f2", "w1")])
+    assert blocked_by_worker(m, two_jobs, "w1")
+    assert not is_individually_rational(m, two_jobs)
+    assert not is_stable(m, two_jobs)
+    assert not is_worker_quasi_stable(m, two_jobs)
+    assert not is_firm_quasi_stable(m, two_jobs)
 
 
 # -- pair blocking and stability -------------------------------------------------
@@ -185,6 +237,14 @@ def test_quasi_stability_goldens(example1, example2):
     m2, named2 = example2
     assert is_worker_quasi_stable(m2, named2["mu_boxed"])
     assert not is_stable(m2, named2["mu_boxed"])
+
+
+def test_empty_holdings_survive_at_any_cap():
+    spec = RandomMarketSpec("many_to_one", 40, 40, firm_kind="set_list", density=0.5)
+    m = random_market(3, spec)
+    for cap in (0, 14):
+        assert is_firm_quasi_stable(m, Matching.empty(), cap=cap)
+        assert is_worker_quasi_stable(m, Matching.empty(), cap=cap)
 
 
 def test_stable_set_inside_both_quasi_stable_sets(example1):
@@ -294,6 +354,18 @@ def test_blair_workers_equals_unanimous_on_ir_matchings():
         for a in matchings:
             for b in matchings:
                 assert blair_geq_workers(m, a, b) == unanimous_geq_workers(m, a, b)
+
+
+def test_worker_order_is_blair_on_unacceptable_holdings(example1):
+    m, _ = example1
+    # w2 finds only f3, f2 acceptable: her choice drops f5 and f4
+    for mu, mu2 in (
+        (Matching([("f5", "w2")]), Matching([("f5", "w2")])),
+        (Matching([("f4", "w2")]), Matching([("f5", "w2")])),
+    ):
+        assert unanimous_geq_workers(m, mu, mu2)
+        assert not worker_order_geq(m, mu, mu2)
+        assert worker_order_geq(m, mu, mu2) == blair_geq_workers(m, mu, mu2)
 
 
 def test_order_axioms_on_stable_set(example1):

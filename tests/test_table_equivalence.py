@@ -101,3 +101,13 @@ def test_walks_give_identical_traces(name, m):
         want = ref.iterate_to_fixed_point(m, Matching.empty(), side, iteration_cap(m))
         assert got.steps > 0
         assert got == want
+
+
+def test_many_to_one_worker_quasi_stability_at_scale():
+    """The choice form at the default cap equals the blocking-pair form past the cap."""
+    m = random_market(1, RandomMarketSpec("many_to_one", 40, 40))
+    for side in ("firms", "workers"):
+        trace = iterate_to_fixed_point(m, Matching.empty(), side, check=False)
+        assert trace.steps > 0
+        for mu in trace.matchings:
+            assert is_worker_quasi_stable(m, mu) == ref.is_worker_quasi_stable(m, mu)
