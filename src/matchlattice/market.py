@@ -54,33 +54,24 @@ def _fmt_set(s: Iterable[AgentId]) -> str:
 class ChoiceFunction:
     """A rule selecting a subset from any offered subset of the ground set.
 
-    Subclasses implement ``_choose``; results are memoised because the
-    operators and validators re-evaluate the same offers heavily.  Subclasses
-    may also override ``_accepting`` with a kernel that answers
-    :meth:`accepting` without one ``choose`` per ground element.
+    Subclasses implement ``_choose``, and may override ``_accepting`` with a
+    kernel that answers :meth:`accepting` without one ``choose`` per ground
+    element.
     """
 
     ground: frozenset[AgentId]
 
     def __init__(self, ground: Iterable[AgentId]):
         self.ground = frozenset(ground)
-        self._memo: dict[frozenset, frozenset] = {}
 
     def _known(self, offered: Iterable[AgentId]) -> frozenset[AgentId]:
         s = frozenset(offered)
-        extra = s - self.ground
-        if extra:
-            raise UnknownAgent(f"offered set contains unknown ids: {sort_agents(extra)}")
+        if not s <= self.ground:
+            raise UnknownAgent(f"offered set contains unknown ids: {sort_agents(s - self.ground)}")
         return s
 
     def choose(self, offered: Iterable[AgentId]) -> frozenset[AgentId]:
-        s = frozenset(offered)
-        hit = self._memo.get(s)
-        if hit is not None:
-            return hit
-        result = self._choose(self._known(s))
-        self._memo[s] = result
-        return result
+        return self._choose(self._known(offered))
 
     def accepting(self, held: Iterable[AgentId]) -> frozenset[AgentId]:
         """Every ``x`` in the ground set with ``x in C(held | {x})``.
@@ -93,7 +84,7 @@ class ChoiceFunction:
         return self._accepting(self._known(held))
 
     def _accepting(self, held: frozenset[AgentId]) -> frozenset[AgentId]:
-        # Definitional fallback, one memoised choice per ground element.
+        # Definitional fallback, one choice per ground element.
         return frozenset(x for x in self.ground if x in self.choose(held | {x}))
 
     def _choose(self, s: frozenset[AgentId]) -> frozenset[AgentId]:
@@ -196,8 +187,10 @@ class QuotaLinearChoice(ChoiceFunction):
         self._acceptable = frozenset(order)
 
     def _choose(self, s: frozenset[AgentId]) -> frozenset[AgentId]:
-        acceptable = sorted((a for a in s if a in self._rank), key=self._rank.__getitem__)
-        return frozenset(acceptable[: self.quota])
+        acceptable = s & self._acceptable
+        if len(acceptable) <= self.quota:
+            return acceptable
+        return frozenset(sorted(acceptable, key=self._rank.__getitem__)[: self.quota])
 
     def _accepting(self, held: frozenset[AgentId]) -> frozenset[AgentId]:
         # x is accepted iff it ranks at or above the quota-th best acceptable
@@ -283,8 +276,9 @@ class Market:
 
     ``firms`` maps firm ids to choice functions over workers; the worker side
     depends on the variant.  Construction widens every choice function's
-    ground set to the full opposite side and rejects unknown references.
-    Queries still write to the choice functions' memos.
+    ground set to the full opposite side and rejects unknown references.  No
+    query writes to the market or its choice functions, so one market can be
+    shared across threads.
     """
 
     def __init__(

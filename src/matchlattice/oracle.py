@@ -4,7 +4,7 @@ Everything here is deliberately independent of the operator machinery: joins
 and meets are found by scanning an enumerated universe against the order
 predicates, so agreement between this module and :mod:`matchlattice.tarski`
 is a real check rather than a tautology.  Of the market it asks nothing but
-``choose``.
+``choose`` and the workers' quotas.
 
 The stable and quasi-stable sets are searched among individually rational
 matchings only, which every one of their predicates requires.  Workers are
@@ -12,10 +12,9 @@ filtered per option; firms are pruned while the matching is built.  A firm
 whose choice is contracting and substitutable rejects from every larger set
 what it rejects from a smaller one (``x in T <= S`` and ``x not in C(T)``
 give ``x not in C(S)``), so a rejection as soon as a worker joins it cuts
-the whole subtree.  That is proven per firm by the exhaustive validator on
-a private copy of its choice, when the ground set is within ``SUBSET_CAP``.
-Every other firm is checked once per complete matching, which is sound
-whatever its choice does.
+the whole subtree.  That is proven per firm by the exhaustive validator,
+when the ground set is within ``SUBSET_CAP``.  Every other firm is checked
+once per complete matching, which is sound whatever its choice does.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ from .matching import (
     _require_side,
     blair_geq_firms,
     blair_geq_workers,
+    has_blocking_pair,
     is_firm_quasi_stable,
-    is_stable,
     is_worker_quasi_stable,
     unanimous_geq_workers,
     worker_order_geq,
@@ -65,26 +64,20 @@ DEFAULT_BUDGET = EnumerationBudget()
 
 
 def _worker_options(m: Market, w: AgentId, ir_only: bool) -> list[frozenset[AgentId]]:
-    """Firm sets a worker may hold, in deterministic (size, id) order."""
+    """Firm sets a worker may hold, in deterministic (size, id) order.
+
+    Sets up to the worker's quota (substitutable workers have none); with
+    ``ir_only``, only the sets the worker would keep.
+    """
     firms = m.firm_ids
-    if m.variant == "many_to_one":
-        singles = [f for f in firms if not ir_only or m.worker_pref(w).is_acceptable(f)]
-        return [frozenset()] + [frozenset([f]) for f in singles]
-    if m.variant == "many_to_many_responsive":
-        pool = [f for f in firms if not ir_only or m.worker_pref(w).is_acceptable(f)]
-        q = m.worker_quota(w)
-        out = []
-        for r in range(0, min(q, len(pool)) + 1):
-            out.extend(frozenset(c) for c in combinations(pool, r))
-        return out
-    out = []
     choice = m.worker_choice(w)
-    for r in range(len(firms) + 1):
-        for c in combinations(firms, r):
-            s = frozenset(c)
-            if not ir_only or choice.choose(s) == s:
-                out.append(s)
-    return out
+    quota = m.worker_quotas.get(w, len(firms))
+    return [
+        s
+        for r in range(min(quota, len(firms)) + 1)
+        for s in map(frozenset, combinations(firms, r))
+        if not ir_only or choice.choose(s) == s
+    ]
 
 
 def count_matchings(m: Market, ir_workers_only: bool = False) -> int:
@@ -98,8 +91,7 @@ def _prunes_by_prefix(c: ChoiceFunction) -> bool:
     """Whether a rejection from a set is a rejection from all its supersets.
 
     Holds for a contracting, substitutable choice; both are checked
-    exhaustively on ``c``, which should be a throwaway copy: the checks fill
-    its memo with every subset of the ground set.
+    exhaustively on ``c``.
     """
     return (
         all(c.choose(s) <= s for s in _subsets(tuple(sort_agents(c.ground))))
@@ -110,23 +102,17 @@ def _prunes_by_prefix(c: ChoiceFunction) -> bool:
 def _firm_checks(m: Market):
     """``(prefix, leaf)``: the firm choices that individual rationality is checked on.
 
-    ``prefix`` maps each firm that prunes by prefix to a copy of its choice;
-    ``leaf`` lists ``(firm, choice)`` for the rest.  Copies keep the checks
-    out of the market's memos; a choice that cannot be copied is used as is.
+    ``prefix`` maps each firm that prunes by prefix to its choice; ``leaf``
+    lists ``(firm, choice)`` for the rest.
     """
     prefix: dict[AgentId, ChoiceFunction] = {}
     leaf: list[tuple[AgentId, ChoiceFunction]] = []
     for f in m.firm_ids:
         c = m.firm_choice(f)
-        try:
-            own = c.rebased(c.ground)
-        except NotImplementedError:
-            leaf.append((f, c))
-            continue
-        if len(c.ground) <= SUBSET_CAP and _prunes_by_prefix(c.rebased(c.ground)):
-            prefix[f] = own
+        if len(c.ground) <= SUBSET_CAP and _prunes_by_prefix(c):
+            prefix[f] = c
         else:
-            leaf.append((f, own))
+            leaf.append((f, c))
     return prefix, leaf
 
 
@@ -184,10 +170,7 @@ def enumerate_matchings(
                 for f in fs:
                     held[f] = held[f] - {w}
 
-    try:
-        yield from rec(0, [])
-    finally:
-        del rec  # rec is in its own closure; free the copies now, not at the next collection
+    yield from rec(0, [])
 
 
 def enumerate_stable(m: Market, budget: EnumerationBudget | None = None) -> list[Matching]:
@@ -195,12 +178,14 @@ def enumerate_stable(m: Market, budget: EnumerationBudget | None = None) -> list
 
     Stability implies individual rationality on both sides, so neither the
     worker-IR options nor the firm-IR pruning of :func:`enumerate_matchings`
-    drops a stable matching or changes their order.
+    drops a stable matching or changes their order.  Every matching they
+    yield is individually rational, so stability is the absence of a
+    blocking pair.
     """
     return [
         mu
         for mu in enumerate_matchings(m, budget, ir_workers_only=True, ir_firms_only=True)
-        if is_stable(m, mu)
+        if not has_blocking_pair(m, mu)
     ]
 
 

@@ -31,6 +31,7 @@ from .errors import (
     NotFirmQuasiStable,
     NotStable,
     NotWorkerQuasiStable,
+    SchemaError,
 )
 from .market import AgentId, Market
 from .matching import (
@@ -205,19 +206,28 @@ def iterate_to_fixed_point(
     matchings up the worker order.  The end of the trace is stable.  A cap
     on steps (and a per-step improvement check) turns axiom violations in
     the market into :class:`NonConvergence` instead of a hang or a silently
-    wrong answer.
+    wrong answer.  So does a step that builds an edge set that is not a
+    matching of ``m``, as one from a start that is not quasi-stable can; a
+    start that is not a matching of ``m`` raises :class:`SchemaError`.
     """
     _require_side(side)
     step = tarski_firm_step if side == "firms" else tarski_worker_step
     improves = _improvement_order(side)
+    mu.validate_for(m)
     if check:
         _require_quasi_stable(m, side, [("iteration start", mu)])
     if cap is None:
         cap = iteration_cap(m)
     visited = [mu]
     current = mu
-    for _ in range(cap):
-        nxt = step(m, current, check=False)
+    for i in range(1, cap + 1):
+        try:
+            nxt = step(m, current, check=False)
+        except SchemaError as e:
+            raise NonConvergence(
+                f"operator step {i} built no matching ({e}); the start is not "
+                "quasi-stable or the market violates substitutability"
+            ) from e
         if nxt == current:
             if not is_stable(m, current):
                 raise NonConvergence(

@@ -1,5 +1,6 @@
 """Per-pair forms of the willing sets, blocking pairs, pools, candidates,
-quasi-stability and operator steps.
+quasi-stability and operator steps, with per-agent forms of the orders the
+walks climb.
 
 The package builds these from one ``accepting`` table per side, with one
 side-generic body per firm/worker pair.  The forms here ask every
@@ -9,8 +10,7 @@ the definitions, and stay as the reference the package is tested against.
 
 from itertools import combinations
 
-from matchlattice import Matching, NonConvergence, OperatorTrace, blair_geq_firms, worker_order_geq
-from matchlattice.matching import blocked_by_firm
+from matchlattice import Matching, NonConvergence, OperatorTrace
 from matchlattice.market import agent_key
 
 
@@ -83,6 +83,10 @@ def blocked_by_worker(m, mu, w):
         return m.worker_choice(w).choose(held) != held
     pref = m.worker_pref(w)
     return len(held) > m.worker_quota(w) or not all(pref.is_acceptable(f) for f in held)
+
+
+def blocked_by_firm(m, mu, f):
+    return m.firm_choice(f).choose(mu.of_firm(f)) != mu.of_firm(f)
 
 
 def is_individually_rational(m, mu):
@@ -177,10 +181,25 @@ def worker_step(m, mu):
     return out
 
 
+def firm_blair_geq(m, mu, mu2):
+    """Every firm chooses its mu-workers out of both assignments: C_f(mu(f) | mu2(f)) == mu(f)."""
+    return all(
+        m.firm_choice(f).choose(mu.of_firm(f) | mu2.of_firm(f)) == mu.of_firm(f) for f in m.firm_ids
+    )
+
+
+def worker_blair_geq(m, mu, mu2):
+    """Every worker chooses her mu-firms out of both assignments: C_w(mu(w) | mu2(w)) == mu(w)."""
+    return all(
+        m.worker_choice(w).choose(mu.of_worker(w) | mu2.of_worker(w)) == mu.of_worker(w)
+        for w in m.worker_ids
+    )
+
+
 def iterate_to_fixed_point(m, mu, side, cap):
-    """The package's walk with the per-pair steps and stability check."""
+    """The package's walk with the per-pair steps, orders and stability check."""
     step = firm_step if side == "firms" else worker_step
-    improves = blair_geq_firms if side == "firms" else worker_order_geq
+    improves = firm_blair_geq if side == "firms" else worker_blair_geq
     visited = [mu]
     for _ in range(cap):
         nxt = step(m, visited[-1])

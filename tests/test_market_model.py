@@ -1,27 +1,42 @@
 """Choice function semantics, axiom validators, market schema."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchlattice import (
     CapExceeded,
+    EnumerationBudget,
     LinearPref,
     Market,
     QuotaLinearChoice,
+    RandomMarketSpec,
     ReferentialIntegrity,
     SchemaError,
     SetListChoice,
     UnknownAgent,
+    build_related_market,
+    enumerate_stable,
+    extremal_stable,
+    is_firm_quasi_stable,
+    is_worker_quasi_stable,
+    lifted_join_firms,
+    random_market,
+    stable_join_firms,
+    stable_meet_firms,
     validate_consistent,
     validate_market,
     validate_path_independent,
     validate_substitutable,
+    verify_lattice,
 )
 from matchlattice.market import ChoiceFunction, _path_independence_search, agent_key, sort_agents
 from matchlattice.replica import QExtensionChoice, ReplicaMap
 
 from axiom_oracles import brute_consistent, brute_path_independent, brute_substitutable, powerset
+from conftest import bundle_market
 
 
 # -- choose ------------------------------------------------------------------
@@ -410,3 +425,35 @@ def test_worker_choice_is_top_quota_of_order(example1):
     assert c.choose({"f4", "f5", "f1"}) == {"f1"}
     assert c.choose(frozenset()) == frozenset()
     assert c.choose({"f2", "f3"}) == frozenset()  # unacceptable only
+
+
+# -- shared state -----------------------------------------------------------------
+
+
+def _snapshots(markets):
+    """Deep copies of ``vars()`` of each market and of every choice function in it.
+
+    Each choice function is copied on its own; inside the other copies it is
+    kept by identity, so a swapped choice shows as well as a written one.
+    """
+    choices = [c for m in markets for c in (*m._firm_choices.values(), *m._worker_choices.values())]
+    kept = {id(c): c for c in choices}
+    return [copy.deepcopy(vars(x), dict(kept)) for x in (*markets, *choices)]
+
+
+def test_no_query_writes_to_a_market():
+    markets = [bundle_market(name)[0] for name in ("example1", "example2")]
+    markets.append(random_market(3, RandomMarketSpec("many_to_many_responsive", 4, 5)))
+    rm = build_related_market(markets[-1])
+    before = _snapshots([*markets, rm.market])
+    budget = EnumerationBudget(max_firms=7, max_workers=10)
+    for m in markets:
+        assert validate_market(m).ok
+        assert enumerate_stable(m, budget)
+        assert verify_lattice(m, budget).ok
+        top, bottom = (extremal_stable(m, side, budget=budget).matching for side in ("firms", "workers"))
+        stable_join_firms(m, top, bottom)
+        stable_meet_firms(m, top, bottom)
+        assert is_worker_quasi_stable(m, top) and is_firm_quasi_stable(m, bottom)
+    assert lifted_join_firms(rm, top, bottom) == top
+    assert _snapshots([*markets, rm.market]) == before

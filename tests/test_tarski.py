@@ -12,6 +12,7 @@ from matchlattice import (
     NotFirmQuasiStable,
     NotStable,
     NotWorkerQuasiStable,
+    SchemaError,
     SetListChoice,
     blair_geq_firms,
     enumerate_quasi_stable,
@@ -187,6 +188,20 @@ def test_iterate_cap_raises(example2):
     m, named = example2
     with pytest.raises(NonConvergence):
         iterate_to_fixed_point(m, named["mu_boxed"], "firms", cap=1)
+
+
+def test_step_that_builds_no_matching_is_nonconvergence(example1):
+    # mu_circled is not worker-quasi-stable, and the first firm step gives w5
+    # two firms.  The step alone rejects that edge set with SchemaError; the
+    # walk reports NonConvergence naming the step, and SchemaError only for
+    # a start that is not a matching.
+    m, named = example1
+    with pytest.raises(SchemaError):
+        tarski_firm_step(m, named["mu_circled"], check=False)
+    with pytest.raises(NonConvergence, match=r"operator step 1 built no matching \(worker w5 holds 2 firms"):
+        iterate_to_fixed_point(m, named["mu_circled"], "firms", check=False)
+    with pytest.raises(SchemaError):
+        iterate_to_fixed_point(m, Matching([("f1", "w5"), ("f2", "w5")]), "firms", check=False)
 
 
 def test_non_substitutable_market_diagnosed():
