@@ -179,15 +179,19 @@ def _cmd_iterate(args) -> int:
     return _emit(args, result, text)
 
 
-def _cmd_enumerate(args) -> int:
-    m = load_market(args.market, args.seed)
-    budget = oracle.EnumerationBudget(
+def _budget(args, m: Market) -> oracle.EnumerationBudget:
+    """``--budget`` matchings, on a market of any size."""
+    return oracle.EnumerationBudget(
         max_matchings=args.budget,
         max_firms=max(oracle.DEFAULT_BUDGET.max_firms, len(m.firm_ids)),
         max_workers=max(oracle.DEFAULT_BUDGET.max_workers, len(m.worker_ids)),
     )
+
+
+def _cmd_enumerate(args) -> int:
+    m = load_market(args.market, args.seed)
     count = 0
-    for mu in oracle.enumerate_matchings(m, budget, ir_workers_only=args.ir_workers_only):
+    for mu in oracle.enumerate_matchings(m, _budget(args, m), ir_workers_only=args.ir_workers_only):
         row = dict(mu.to_json())
         row.update(_predicates(m, mu))
         print(json.dumps(row, separators=(",", ":")))
@@ -200,12 +204,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify_lattice(args) -> int:
     m = load_market(args.market, args.seed)
-    budget = oracle.EnumerationBudget(
-        max_matchings=args.budget,
-        max_firms=max(oracle.DEFAULT_BUDGET.max_firms, len(m.firm_ids)),
-        max_workers=max(oracle.DEFAULT_BUDGET.max_workers, len(m.worker_ids)),
-    )
-    report = oracle.verify_lattice(m, budget)
+    report = oracle.verify_lattice(m, _budget(args, m))
     lines = [
         f"stable matchings: {report.stable_count}",
         f"pairs checked: {report.pairs_checked}",

@@ -68,14 +68,6 @@ class Matching:
             raise SchemaError(f"worker {w} holds {len(fs)} jobs in a many-to-one context")
         return next(iter(fs))
 
-    @property
-    def matched_firms(self) -> frozenset[AgentId]:
-        return frozenset(self._by_firm)
-
-    @property
-    def matched_workers(self) -> frozenset[AgentId]:
-        return frozenset(self._by_worker)
-
     def __eq__(self, other):
         return isinstance(other, Matching) and self._edges == other._edges
 

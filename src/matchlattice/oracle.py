@@ -8,13 +8,11 @@ is a real check rather than a tautology.  Of the market it asks nothing but
 
 The stable and quasi-stable sets are searched among individually rational
 matchings only, which every one of their predicates requires.  Workers are
-filtered per option; firms are pruned while the matching is built.  A firm
-whose choice is contracting and substitutable rejects from every larger set
-what it rejects from a smaller one (``x in T <= S`` and ``x not in C(T)``
-give ``x not in C(S)``), so a rejection as soon as a worker joins it cuts
-the whole subtree.  That is proven per firm by the exhaustive validator,
-when the ground set is within ``SUBSET_CAP``.  Every other firm is checked
-once per complete matching, which is sound whatever its choice does.
+filtered per option.  Each firm lists the sets it keeps whole by asking
+``choose`` once on every set of the workers that could join it; a partial
+matching is extended only while every firm's set is a prefix, in worker
+order, of one of its kept sets.  That filter is exact by definition, so it
+holds whatever a firm's choice does.
 """
 
 from __future__ import annotations
@@ -22,20 +20,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import prod
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, GenerationFailed, SchemaError
 from .market import (
-    SUBSET_CAP,
     AgentId,
-    ChoiceFunction,
     LinearPref,
     Market,
     QuotaLinearChoice,
     SetListChoice,
-    _subsets,
-    _substitutable_report,
-    sort_agents,
     validate_consistent,
     validate_substitutable,
 )
@@ -63,11 +57,11 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 
 
-def _worker_options(m: Market, w: AgentId, ir_only: bool) -> list[frozenset[AgentId]]:
+def _worker_options(m: Market, w: AgentId, ir_only: bool) -> list[tuple[AgentId, ...]]:
     """Firm sets a worker may hold, in deterministic (size, id) order.
 
-    Sets up to the worker's quota (substitutable workers have none); with
-    ``ir_only``, only the sets the worker would keep.
+    Sets up to the worker's quota (substitutable workers have none), each in
+    firm id order; with ``ir_only``, only the sets the worker would keep.
     """
     firms = m.firm_ids
     choice = m.worker_choice(w)
@@ -75,45 +69,29 @@ def _worker_options(m: Market, w: AgentId, ir_only: bool) -> list[frozenset[Agen
     return [
         s
         for r in range(min(quota, len(firms)) + 1)
-        for s in map(frozenset, combinations(firms, r))
-        if not ir_only or choice.choose(s) == s
+        for s in combinations(firms, r)
+        if not ir_only or choice.choose(s) == frozenset(s)
     ]
 
 
 def count_matchings(m: Market, ir_workers_only: bool = False) -> int:
-    total = 1
-    for w in m.worker_ids:
-        total *= len(_worker_options(m, w, ir_workers_only))
-    return total
+    return prod(len(_worker_options(m, w, ir_workers_only)) for w in m.worker_ids)
 
 
-def _prunes_by_prefix(c: ChoiceFunction) -> bool:
-    """Whether a rejection from a set is a rejection from all its supersets.
+def _kept_sets(m: Market, f: AgentId, reach: tuple[AgentId, ...]):
+    """``(kept, prefixes)`` of firm ``f`` over the workers in ``reach``.
 
-    Holds for a contracting, substitutable choice; both are checked
-    exhaustively on ``c``.
+    ``kept`` holds the subsets ``S`` of ``reach`` with ``C_f(S) == S``;
+    ``prefixes`` holds every non-empty prefix, in ``reach`` order, of one.
     """
-    return (
-        all(c.choose(s) <= s for s in _subsets(tuple(sort_agents(c.ground))))
-        and _substitutable_report(c).ok
-    )
-
-
-def _firm_checks(m: Market):
-    """``(prefix, leaf)``: the firm choices that individual rationality is checked on.
-
-    ``prefix`` maps each firm that prunes by prefix to its choice; ``leaf``
-    lists ``(firm, choice)`` for the rest.
-    """
-    prefix: dict[AgentId, ChoiceFunction] = {}
-    leaf: list[tuple[AgentId, ChoiceFunction]] = []
-    for f in m.firm_ids:
-        c = m.firm_choice(f)
-        if len(c.ground) <= SUBSET_CAP and _prunes_by_prefix(c):
-            prefix[f] = c
-        else:
-            leaf.append((f, c))
-    return prefix, leaf
+    choice = m.firm_choice(f)
+    kept, prefixes = set(), set()
+    for r in range(len(reach) + 1):
+        for s in combinations(reach, r):
+            if choice.choose(s) == frozenset(s):
+                kept.add(frozenset(s))
+                prefixes.update(frozenset(s[:k]) for k in range(1, r + 1))
+    return kept, prefixes
 
 
 def enumerate_matchings(
@@ -129,12 +107,11 @@ def enumerate_matchings(
     restricted to sets the worker would keep, which drops nothing when the
     consumer filters on individual rationality anyway.  ``ir_firms_only``
     likewise keeps only matchings where every firm keeps its whole
-    assignment, ``C_f(mu(f)) == mu(f)``, in the same order.  A firm whose
-    choice is contracting and substitutable is checked as each worker joins
-    it, and a rejection skips every matching that extends the partial one:
-    substitutability gives ``x in T <= S, x not in C(T) => x not in C(S)``.
-    Other firms are checked once per complete matching.  The budget counts
-    the matchings before this filter.
+    assignment, ``C_f(mu(f)) == mu(f)``, in the same order.  Each firm asks
+    ``choose`` once on every set of the workers whose options name it, and
+    a worker joins it only if the firm's set stays a prefix, in worker
+    order, of one it keeps; a complete matching is yielded only if every
+    firm keeps its set.  The budget counts the matchings before this filter.
     """
     budget = budget or DEFAULT_BUDGET
     if len(m.firm_ids) > budget.max_firms or len(m.worker_ids) > budget.max_workers:
@@ -142,29 +119,31 @@ def enumerate_matchings(
             f"market is {len(m.firm_ids)}x{len(m.worker_ids)}, budget allows "
             f"{budget.max_firms}x{budget.max_workers}"
         )
-    total = count_matchings(m, ir_workers_only)
+    workers = m.worker_ids
+    options = [_worker_options(m, w, ir_workers_only) for w in workers]
+    total = prod(map(len, options))
     if total > budget.max_matchings:
         raise BudgetExceeded(f"{total} matchings exceed budget {budget.max_matchings}")
 
-    workers = m.worker_ids
-    # Firms in id order, so that the checks run in an order fixed by the market.
-    options = [[sort_agents(fs) for fs in _worker_options(m, w, ir_workers_only)] for w in workers]
-    prefix, leaf = _firm_checks(m) if ir_firms_only else ({}, [])
+    kept, prefixes = {}, {}
+    if ir_firms_only:
+        for f in m.firm_ids:
+            reach = tuple(w for w, opts in zip(workers, options) if any(f in fs for fs in opts))
+            kept[f], prefixes[f] = _kept_sets(m, f, reach)
     held = {f: frozenset() for f in m.firm_ids}
 
     def rec(i: int, edges: list[tuple[AgentId, AgentId]]) -> Iterator[Matching]:
         if i == len(workers):
-            if all(c.choose(held[f]) == held[f] for f, c in leaf):
+            if all(held[f] in sets for f, sets in kept.items()):
                 yield Matching(edges)
             return
         w = workers[i]
         for fs in options[i]:
             if ir_firms_only:
                 grown = [(f, held[f] | {w}) for f in fs]
-                if any(f in prefix and prefix[f].choose(s) != s for f, s in grown):
+                if any(s not in prefixes[f] for f, s in grown):
                     continue
-                for f, s in grown:
-                    held[f] = s
+                held.update(grown)
             yield from rec(i + 1, edges + [(f, w) for f in fs])
             if ir_firms_only:
                 for f in fs:

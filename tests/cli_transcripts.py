@@ -1,10 +1,14 @@
-"""CLI transcripts of the predicate and walk commands on the bundled examples.
+"""CLI transcripts of the predicate, walk and lattice commands on the bundled examples.
 
 For every named matching of an example, a transcript runs ``stable-check``,
 ``quasi-check`` (default cap, ``--cap 1``, ``--assume-substitutable``) and
 ``iterate --trace`` (plain and ``--no-check``) on both sides, in text and
 JSON, and records each command line with its exit code, stdout and stderr.
 ``tests/test_cli.py`` diffs them against ``tests/golden/predicates_<name>.txt``.
+The stdout of ``verify-lattice <name>`` in text and JSON, which holds the
+oracle's join and meet tables, is kept as it is printed in
+``tests/golden/verify_lattice_<name>.txt`` and ``.json``, so that the output
+of an installed console script can be diffed against it directly.
 
 Regenerate the goldens (only when an output change is intended) with
 
@@ -28,6 +32,17 @@ def golden_path(name: str) -> Path:
     return GOLDEN / f"predicates_{name}.txt"
 
 
+def verify_lattice_path(name: str, fmt: str) -> Path:
+    return GOLDEN / f"verify_lattice_{name}.{'json' if fmt == 'json' else 'txt'}"
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _commands(name: str, matching: str):
     yield ["stable-check", name, matching]
     for side in ("firms", "workers"):
@@ -45,17 +60,24 @@ def transcript(name: str) -> str:
             path.write_text(json.dumps(mu))
             for argv in _commands(name, str(path)):
                 for fmt in ("text", "json"):
-                    out, err = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        code = main([*argv, "--format", fmt])
+                    code, out, err = _run([*argv, "--format", fmt])
                     shown = " ".join([*argv, "--format", fmt]).replace(str(path), path.name)
                     chunks.append(
-                        f"$ matchlattice {shown}\n[exit {code}]\n{out.getvalue()}"
-                        + (f"[stderr]\n{err.getvalue()}" if err.getvalue() else "")
+                        f"$ matchlattice {shown}\n[exit {code}]\n{out}"
+                        + (f"[stderr]\n{err}" if err else "")
                     )
     return "\n".join(chunks)
+
+
+def verify_lattice(name: str, fmt: str) -> str:
+    """The stdout of ``verify-lattice``, which must exit 0 on a bundled example."""
+    code, out, err = _run(["verify-lattice", name, "--format", fmt])
+    assert code == 0 and not err, (code, err)
+    return out
 
 
 if __name__ == "__main__":
     for name in sys.argv[1:] or EXAMPLES:
         golden_path(name).write_text(transcript(name))
+        for fmt in ("text", "json"):
+            verify_lattice_path(name, fmt).write_text(verify_lattice(name, fmt))

@@ -237,6 +237,14 @@ def test_predicate_golden_transcripts(name):
     assert cli_transcripts.transcript(name) == cli_transcripts.golden_path(name).read_text()
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", cli_transcripts.EXAMPLES)
+def test_verify_lattice_golden_transcripts(name, fmt):
+    """The oracle's stable counts and join/meet tables, byte for byte."""
+    golden = cli_transcripts.verify_lattice_path(name, fmt).read_text()
+    assert cli_transcripts.verify_lattice(name, fmt) == golden
+
+
 @pytest.mark.parametrize("variant", ["many_to_one", "many_to_many_responsive", "many_to_many_sub"])
 def test_empty_matching_walks_and_checks_at_40x40(capsys, tmp_path, variant):
     """Walks and quasi-checks from the empty matching answer past the default cap."""

@@ -32,8 +32,8 @@ from matchlattice import (
     validate_substitutable,
     verify_lattice,
 )
-from matchlattice.market import ChoiceFunction
-from matchlattice.oracle import _firm_checks, count_matchings
+from matchlattice.market import SUBSET_CAP, ChoiceFunction
+from matchlattice.oracle import count_matchings
 
 VARIANTS = ("many_to_one", "many_to_many_responsive", "many_to_many_sub")
 FIRM_KINDS = ("quota_linear", "set_list", "mixed")
@@ -353,11 +353,6 @@ def non_substitutable_market(variant, firms, workers, quotas):
 @pytest.mark.parametrize("spec", NON_SUBSTITUTABLE, ids=[s[0] for s in NON_SUBSTITUTABLE])
 def test_non_substitutable_firms_are_checked_on_complete_matchings(spec):
     m = non_substitutable_market(*spec)
-    prefix, leaf = _firm_checks(m)
-    substitutable = validate_market(m).agents
-    for f in m.firm_ids:
-        assert (f in prefix) == substitutable[f][0].ok
-    assert [f for f, _ in leaf] == [f for f in m.firm_ids if f not in prefix]
     assert_pruning_loses_nothing(m)
 
 
@@ -378,8 +373,6 @@ def test_non_contracting_choice_is_checked_on_complete_matchings():
         worker_prefs={"w1": LinearPref(["f1", "f2"]), "w2": LinearPref(["f2", "f1"]), "w3": LinearPref(["f1"])},
     )
     assert validate_substitutable(m.firm_choice("f1")).ok
-    prefix, leaf = _firm_checks(m)
-    assert list(prefix) == ["f2"] and [f for f, _ in leaf] == ["f1"]
     assert Matching([("f1", "w1"), ("f1", "w3")]) in enumerate_matchings(m, ir_firms_only=True)
     assert_pruning_loses_nothing(m)
 
@@ -395,19 +388,46 @@ class Uncopied(ChoiceFunction):
         return self.inner.choose(s)
 
 
-@pytest.mark.parametrize(
-    "subsets,pruned",
-    [([["w1", "w2"], ["w1"]], ["f2"]), ([["w1"], ["w2"]], ["f1", "f2"])],
-    ids=["non-sub", "sub"],
-)
-def test_choice_without_rebased_is_checked_on_complete_matchings(subsets, pruned):
+@pytest.mark.parametrize("subsets", [[["w1", "w2"], ["w1"]], [["w1"], ["w2"]]], ids=["non-sub", "sub"])
+def test_choice_without_rebased_is_checked_on_complete_matchings(subsets):
     """The checks run on the market's own choices, so ``rebased`` plays no part."""
     m = m2o(
         {"f1": subsets, "f2": [["w2", "w3"], ["w2"], ["w3"], ["w1"]]},
         {"w1": ["f1", "f2"], "w2": ["f2", "f1"], "w3": ["f1", "f2"]},
     )
-    m._firm_choices["f1"] = uncopied = Uncopied(m.firm_choice("f1"))
-    prefix, leaf = _firm_checks(m)
-    assert list(prefix) == pruned
-    assert {**prefix, **dict(leaf)}["f1"] is uncopied
+    m._firm_choices["f1"] = Uncopied(m.firm_choice("f1"))
     assert_pruning_loses_nothing(m)
+
+
+def test_firms_past_the_validation_cap_are_filtered_exactly():
+    """Firms whose ground set exceeds ``SUBSET_CAP``, on a small worker-IR space.
+
+    Only w1..w4 accept a firm, so the worker-IR stream stays small although
+    each firm ranks all 16 workers; the unfiltered stream is out of reach.
+    """
+    workers = [f"w{i}" for i in range(1, 17)]
+    assert len(workers) > SUBSET_CAP
+    lists = [["w2", "w3"], ["w4"], ["w1"]]  # w2 is chosen from {w1, w2, w3} but not from {w1, w2}
+    m = Market(
+        "many_to_one",
+        {
+            "f1": QuotaLinearChoice(workers, 2),
+            "f2": SetListChoice(lists, ground=workers),
+            "f3": QuotaLinearChoice(workers[::-1], 1),
+        },
+        worker_prefs={
+            w: LinearPref(order)
+            for w, order in zip(workers, [["f2", "f1"], ["f1", "f2", "f3"], ["f2", "f3"], ["f3", "f1", "f2"]])
+        }
+        | {w: LinearPref(()) for w in workers[4:]},
+    )
+    assert not validate_substitutable(SetListChoice(lists)).ok
+    budget = EnumerationBudget(max_matchings=1_000, max_workers=16)
+    full = list(enumerate_matchings(m, budget, ir_workers_only=True))
+    assert len(full) == count_matchings(m, ir_workers_only=True) == 3 * 4 * 3 * 4
+    pruned = list(enumerate_matchings(m, budget, ir_workers_only=True, ir_firms_only=True))
+    assert 0 < len(pruned) < len(full)
+    assert pruned == [mu for mu in full if firm_ir(m, mu)]
+    assert enumerate_stable(m, budget) == [mu for mu in full if is_stable(m, mu)]
+    assert enumerate_quasi_stable(m, "workers", budget) == [mu for mu in full if is_worker_quasi_stable(m, mu)]
+    assert enumerate_quasi_stable(m, "firms", budget) == [mu for mu in full if is_firm_quasi_stable(m, mu)]
