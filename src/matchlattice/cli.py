@@ -18,7 +18,7 @@ from importlib import resources
 
 from . import oracle, replica, tarski
 from .errors import MatchLatticeError, NotStable, ParseError, SchemaError
-from .market import Market, validate_market
+from .market import PI_CAP, SUBSET_CAP, Market, validate_market
 from .matching import (
     Matching,
     _other,
@@ -390,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="check the structural axioms of a market")
     sp.add_argument("market")
-    sp.add_argument("--cap", type=int, default=14)
-    sp.add_argument("--pi-cap", type=int, default=10, dest="pi_cap")
+    sp.add_argument("--cap", type=int, default=SUBSET_CAP)
+    sp.add_argument("--pi-cap", type=int, default=PI_CAP, dest="pi_cap")
     sp.add_argument("--assume-substitutable", action="store_true", dest="assume_substitutable",
                     help="skip axiom checks on ground sets beyond the cap")
     common(sp)
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("market")
     sp.add_argument("matching")
     sp.add_argument("--side", choices=("firms", "workers"), required=True)
-    sp.add_argument("--cap", type=int, default=14)
+    sp.add_argument("--cap", type=int, default=SUBSET_CAP)
     sp.add_argument("--assume-substitutable", action="store_true", dest="assume_substitutable")
     common(sp)
 

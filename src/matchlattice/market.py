@@ -264,11 +264,33 @@ class LinearPref:
         return f"LinearPref({list(self.order)})"
 
 
+def _is_id_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(a, str) for a in x)
+
+
 def _set_list_from_json(obj, what: str) -> SetListChoice:
     lst = obj.get("list")
-    if not isinstance(lst, list) or not all(isinstance(x, list) for x in lst):
+    if not isinstance(lst, list) or not all(_is_id_list(x) for x in lst):
         raise SchemaError(f"{what}: 'list' must be a list of id lists")
     return SetListChoice(lst)
+
+
+def _order_from_json(obj, what: str) -> list[AgentId]:
+    order = obj.get("order", [])
+    if not _is_id_list(order):
+        raise SchemaError(f"{what}: 'order' must be a list of ids")
+    return order
+
+
+def _quota_from_json(obj, what: str) -> int:
+    quota = obj.get("quota", 1)
+    if not isinstance(quota, int) or isinstance(quota, bool):
+        raise SchemaError(f"{what}: 'quota' must be an integer")
+    return quota
+
+
+def _quota_linear_from_json(obj, what: str) -> QuotaLinearChoice:
+    return QuotaLinearChoice(_order_from_json(obj, what), _quota_from_json(obj, what))
 
 
 class Market:
@@ -406,7 +428,7 @@ class Market:
             if kind == "set_list":
                 firms[f] = _set_list_from_json(spec, f"firm {f}")
             elif kind == "quota_linear":
-                firms[f] = QuotaLinearChoice(spec.get("order", ()), spec.get("quota", 1))
+                firms[f] = _quota_linear_from_json(spec, f"firm {f}")
             else:
                 raise SchemaError(f"firm {f}: kind must be 'set_list' or 'quota_linear'")
 
@@ -416,15 +438,15 @@ class Market:
         for w, spec in workers_obj.items():
             kind = isinstance(spec, dict) and spec.get("kind")
             if kind == "linear":
-                prefs[w] = LinearPref(tuple(spec.get("order", ())))
+                prefs[w] = LinearPref(_order_from_json(spec, f"worker {w}"))
                 quotas[w] = 1
             elif kind == "linear_quota":
-                prefs[w] = LinearPref(tuple(spec.get("order", ())))
-                quotas[w] = spec.get("quota", 1)
+                prefs[w] = LinearPref(_order_from_json(spec, f"worker {w}"))
+                quotas[w] = _quota_from_json(spec, f"worker {w}")
             elif kind == "set_list":
                 choices[w] = _set_list_from_json(spec, f"worker {w}")
             elif kind == "quota_linear":
-                choices[w] = QuotaLinearChoice(spec.get("order", ()), spec.get("quota", 1))
+                choices[w] = _quota_linear_from_json(spec, f"worker {w}")
             else:
                 raise SchemaError(
                     f"worker {w}: kind must be 'linear', 'linear_quota', 'set_list' or 'quota_linear'"

@@ -21,7 +21,7 @@ from functools import partial
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CapExceeded, SchemaError
-from .market import AgentId, Market, QuotaLinearChoice, _subsets, agent_key, sort_agents
+from .market import SUBSET_CAP, AgentId, Market, QuotaLinearChoice, _subsets, agent_key, sort_agents
 
 
 class Matching:
@@ -112,7 +112,7 @@ class Matching:
             raise SchemaError("matching must be an object with an 'assignments' map")
         edges = []
         for f, ws in obj["assignments"].items():
-            if not isinstance(ws, list):
+            if not isinstance(ws, list) or not all(isinstance(w, str) for w in ws):
                 raise SchemaError(f"assignments for {f} must be a list of worker ids")
             if len(set(ws)) != len(ws):
                 raise SchemaError(f"assignments for {f} repeat a worker")
@@ -302,54 +302,45 @@ def W_set_of_firm(m: Market, mu: Matching, f: AgentId) -> frozenset[AgentId]:
 # -- quasi-stability ----------------------------------------------------------
 
 
-def _held_survives_all_offers(
-    held: frozenset[AgentId],
-    willing: frozenset[AgentId],
-    choice,
-    cap: int,
-    assume_substitutable: bool,
-    what: str,
+def _holdings_survive(
+    m: Market, mu: Matching, side: str, cap: int = SUBSET_CAP, assume_substitutable: bool = False
 ) -> bool:
-    """Check held <= C(held u T) for every T inside ``willing``.
+    """Every ``side`` agent keeps what it holds against any offer from its willing partners.
 
-    Empty holdings always survive.  Under substitutability the largest T
-    dominates (a held partner chosen from ``held | willing`` stays chosen
-    from every smaller offer), so the check reduces to the full set and the
-    singletons.  That holds for every :class:`QuotaLinearChoice`, which is
-    substitutable by construction, and for any choice when the caller
-    assumes it; every other choice is checked over all subsets of
-    ``willing``, and more than ``cap`` willing partners raise
-    :class:`CapExceeded`.
+    That is ``held <= C(held | T)`` for every ``T`` inside ``willing - held``;
+    individual rationality is not checked here.  Empty holdings always
+    survive.  Under substitutability the full offer decides: a held partner
+    chosen from ``held | willing`` stays chosen from every smaller offer.
+    That holds for every :class:`QuotaLinearChoice`, which is substitutable
+    by construction, and for any choice when the caller assumes it.  Every
+    other choice is checked on each ``T``, and more than ``cap`` willing
+    partners raise :class:`CapExceeded`.
     """
-    if not held:
-        return True
-    if assume_substitutable or isinstance(choice, QuotaLinearChoice):
-        candidates = [willing - held] + [frozenset([x]) for x in sort_agents(willing - held)]
-        return all(held <= choice.choose(held | t) for t in candidates)
-    if len(willing) > cap:
-        raise CapExceeded(
-            f"{what}: quantifier over {len(willing)} willing partners exceeds cap {cap}; "
-            "raise the cap or pass assume_substitutable=True"
-        )
-    items = tuple(sort_agents(willing))
-    return all(held <= choice.choose(held | t) for t in _subsets(items))
-
-
-def _holdings_survive(m: Market, mu: Matching, side: str, cap: int, assume_substitutable: bool) -> bool:
-    """Every ``side`` agent keeps what it holds against any offers from its willing partners."""
-    ids, choice, held, _ = _agents(m, mu, side)
+    ids, choice, held_by, _ = _agents(m, mu, side)
+    partners = _agents(m, mu, _other(side))[0]
     willing = _willing(m, mu, _other(side))
-    what = f"{side[:-1]}-quasi-stability"
-    return all(
-        _held_survives_all_offers(held(a), willing[a], choice(a), cap, assume_substitutable, what)
-        for a in ids
-    )
+    for a in ids:
+        held, c = held_by(a), choice(a)
+        if not held:
+            continue
+        if assume_substitutable or isinstance(c, QuotaLinearChoice):
+            offers = [willing[a]]
+        elif len(willing[a]) > cap:
+            raise CapExceeded(
+                f"{side[:-1]}-quasi-stability: quantifier over {len(willing[a])} willing partners "
+                f"exceeds cap {cap}; raise the cap or pass assume_substitutable=True"
+            )
+        else:
+            offers = _subsets(tuple(x for x in partners if x in willing[a] and x not in held))
+        if not all(held <= c.choose(held | t) for t in offers):
+            return False
+    return True
 
 
 def is_worker_quasi_stable(
     m: Market,
     mu: Matching,
-    cap: int = 14,
+    cap: int = SUBSET_CAP,
     assume_substitutable: bool = False,
 ) -> bool:
     """Blocking may only involve workers whose current jobs all survive.
@@ -367,7 +358,7 @@ def is_worker_quasi_stable(
 def is_firm_quasi_stable(
     m: Market,
     mu: Matching,
-    cap: int = 14,
+    cap: int = SUBSET_CAP,
     assume_substitutable: bool = False,
 ) -> bool:
     """Blocking may never force a firm to displace current employees."""

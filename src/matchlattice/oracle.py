@@ -35,12 +35,11 @@ from .market import (
 )
 from .matching import (
     Matching,
+    _holdings_survive,
     _require_side,
     blair_geq_firms,
     blair_geq_workers,
     has_blocking_pair,
-    is_firm_quasi_stable,
-    is_worker_quasi_stable,
     unanimous_geq_workers,
     worker_order_geq,
 )
@@ -174,14 +173,14 @@ def enumerate_quasi_stable(
     """All worker- (side='workers') or firm- (side='firms') quasi-stable matchings.
 
     Both predicates require individual rationality, so the search is pruned
-    as in :func:`enumerate_stable`.
+    as in :func:`enumerate_stable`; its leaves are individually rational,
+    so each is tested on the ``side`` agents' holdings alone.
     """
     _require_side(side)
-    pred = is_worker_quasi_stable if side == "workers" else is_firm_quasi_stable
     return [
         mu
         for mu in enumerate_matchings(m, budget, ir_workers_only=True, ir_firms_only=True)
-        if pred(m, mu)
+        if _holdings_survive(m, mu, side)
     ]
 
 

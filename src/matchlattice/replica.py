@@ -19,6 +19,7 @@ from .market import (
     AgentId,
     ChoiceFunction,
     LinearPref,
+    SUBSET_CAP,
     Market,
     SetListChoice,
     sort_agents,
@@ -210,7 +211,7 @@ def lifted_meet_workers(rm: RelatedMarket, nu: Matching, nu2: Matching) -> Match
     return lifted_join_firms(rm, nu, nu2)
 
 
-def as_set_list(c: ChoiceFunction, cap: int = 14) -> SetListChoice:
+def as_set_list(c: ChoiceFunction, cap: int = SUBSET_CAP) -> SetListChoice:
     """Materialise any path-independent choice function as a set list.
 
     Collects the image of the choice function and orders it so that a set
@@ -250,7 +251,7 @@ def as_set_list(c: ChoiceFunction, cap: int = 14) -> SetListChoice:
     return out
 
 
-def related_market_to_json(rm: RelatedMarket, cap: int = 14) -> dict:
+def related_market_to_json(rm: RelatedMarket, cap: int = SUBSET_CAP) -> dict:
     """The related market in the standard schema (set lists for firm choices)."""
     firms = {
         f: {

@@ -218,6 +218,32 @@ def test_matching_schema_error(capsys, asset_files, tmp_path):
     assert code == 1 and "SchemaError" in err
 
 
+MARKET_1X1 = {
+    "variant": "many_to_one",
+    "firms": {"f1": {"kind": "set_list", "list": [["w1"]]}},
+    "workers": {"w1": {"kind": "linear", "order": ["f1"]}},
+}
+
+
+@pytest.mark.parametrize(
+    "market_patch, matching",
+    [
+        ({}, {"assignments": {"f1": [1]}}),
+        ({}, {"assignments": {"f1": [["w1"]]}}),
+        ({"firms": {"f1": {"kind": "set_list", "list": [[1]]}}}, {"assignments": {}}),
+        ({"firms": {"f1": {"kind": "quota_linear", "order": ["w1"], "quota": "2"}}}, {"assignments": {}}),
+        ({"workers": {"w1": {"kind": "linear", "order": "f1"}}}, {"assignments": {}}),
+    ],
+    ids=["int-worker-id", "list-worker-id", "int-set-list-id", "string-quota", "string-order"],
+)
+def test_malformed_ids_and_fields_are_schema_errors(capsys, tmp_path, market_patch, matching):
+    market, mu = tmp_path / "market.json", tmp_path / "mu.json"
+    market.write_text(json.dumps(MARKET_1X1 | market_patch))
+    mu.write_text(json.dumps(matching))
+    code, out, _ = run(capsys, "stable-check", market, mu, "--format", "json")
+    assert code == 1 and json.loads(out)["error"]["type"] == "SchemaError"
+
+
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
     assert main([]) == 2

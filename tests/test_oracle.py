@@ -198,6 +198,17 @@ def test_verify_lattice_example2(example2):
     assert named["mu_under"] in stable and named["mu_over"] in stable
 
 
+def test_example2_quasi_stable_counts(example2):
+    m, named = example2
+    budget = EnumerationBudget(max_firms=7, max_workers=10)
+    qw = enumerate_quasi_stable(m, "workers", budget)
+    qf = enumerate_quasi_stable(m, "firms", budget)
+    assert (len(qw), len(qf)) == (6_280, 156)
+    assert named["mu_boxed"] in qw and Matching.empty() in qf
+    stable = set(enumerate_stable(m, budget))
+    assert stable <= set(qw) and stable <= set(qf)
+
+
 def test_random_market_deterministic():
     spec = RandomMarketSpec(variant="many_to_many_sub", n_firms=3, n_workers=3, firm_kind="mixed")
     assert random_market(42, spec).to_json() == random_market(42, spec).to_json()
