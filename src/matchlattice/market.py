@@ -438,6 +438,8 @@ class Market:
         for w, spec in workers_obj.items():
             kind = isinstance(spec, dict) and spec.get("kind")
             if kind == "linear":
+                if "quota" in spec:
+                    raise SchemaError(f"worker {w}: kind 'linear' takes no 'quota'; use 'linear_quota'")
                 prefs[w] = LinearPref(_order_from_json(spec, f"worker {w}"))
                 quotas[w] = 1
             elif kind == "linear_quota":

@@ -241,7 +241,36 @@ def has_blocking_pair(m: Market, mu: Matching) -> bool:
 
 
 def is_stable(m: Market, mu: Matching) -> bool:
-    return is_individually_rational(m, mu) and not has_blocking_pair(m, mu)
+    """Individually rational with no blocking pair, from one ``accepting`` call per agent.
+
+    For ``x`` in ``held``, ``x in accepting(held)`` exactly when
+    ``x in C(held)``, and ``C(held) <= held``; so ``held <= accepting(held)``
+    is individual rationality.  A blocking pair is then a firm ``f`` and a
+    worker ``w`` it would add with ``f`` in w's accepting set.  The worker
+    side needs no variant branch: on an individually rational matching no
+    many-to-one worker holds an unacceptable firm and no responsive worker
+    is over quota, so :func:`_worker_takes_on` is the plain ``accepting``
+    set and every blocking pair carries a label.
+    """
+    firms = _accepting_if_rational(m, mu, "firms")
+    if firms is None:
+        return False
+    workers = _accepting_if_rational(m, mu, "workers")
+    if workers is None:
+        return False
+    return not any(f in workers[w] for f in m.firm_ids for w in firms[f] - mu.of_firm(f))
+
+
+def _accepting_if_rational(m: Market, mu: Matching, side: str):
+    """Each ``side`` agent's ``accepting(held)``, in id order; None at the first that drops someone."""
+    ids, choice, held_by, _ = _agents(m, mu, side)
+    out = {}
+    for a in ids:
+        held = held_by(a)
+        out[a] = choice(a).accepting(held)
+        if not held <= out[a]:
+            return None
+    return out
 
 
 # -- willing-partner sets ----------------------------------------------------

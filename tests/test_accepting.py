@@ -15,7 +15,7 @@ from matchlattice import (
     UnknownAgent,
     W_set_of_firm,
 )
-from matchlattice.market import ChoiceFunction
+from matchlattice.market import ChoiceFunction, _subsets
 
 IDS = [f"a{i}" for i in range(1, 7)]
 
@@ -29,9 +29,6 @@ class ParityChoice(ChoiceFunction):
 
 def definitional(c, held):
     return frozenset(x for x in c.ground if x in c.choose(held | {x}))
-
-
-grounds = st.sets(st.sampled_from(IDS))
 
 
 @st.composite
@@ -53,8 +50,8 @@ def set_list(draw, ground):
 
 
 @st.composite
-def choice_and_held(draw):
-    ground = frozenset(draw(grounds))
+def choice(draw, ids=IDS, max_quota=3):
+    ground = frozenset(draw(st.sets(st.sampled_from(ids))))
     kind = draw(st.sampled_from(["quota_linear", "set_list", "q_extension", "fallback"]))
     if kind == "quota_linear":
         c = draw(quota_linear(ground))
@@ -64,9 +61,15 @@ def choice_and_held(draw):
         c = ParityChoice(ground)
     else:
         workers = sorted(ground)
-        quotas = {w: draw(st.integers(1, 3)) for w in workers}
+        quotas = {w: draw(st.integers(1, max_quota)) for w in workers}
         base = draw(st.one_of(quota_linear(ground), set_list(ground)))
         c = QExtensionChoice(base, ReplicaMap.build(workers, quotas))
+    return c
+
+
+@st.composite
+def choice_and_held(draw):
+    c = draw(choice())
     held = frozenset(draw(st.sets(st.sampled_from(sorted(c.ground))) if c.ground else st.just(set())))
     return c, held
 
@@ -76,6 +79,17 @@ def choice_and_held(draw):
 def test_accepting_matches_definition(case):
     c, held = case
     assert c.accepting(held) == definitional(c, held)
+
+
+@settings(max_examples=100, deadline=None)
+@given(choice(IDS[:4], max_quota=2))
+def test_held_inside_accepting_iff_chosen_whole(c):
+    """``held <= accepting(held)`` iff ``choose(held) == held``, on every subset.
+
+    ``is_stable`` reads individual rationality off the accepting set by this.
+    """
+    for held in _subsets(tuple(sorted(c.ground))):
+        assert (held <= c.accepting(held)) == (c.choose(held) == held)
 
 
 @settings(max_examples=100, deadline=None)

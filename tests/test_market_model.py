@@ -418,6 +418,18 @@ def test_schema_rejections():
         )
 
 
+@pytest.mark.parametrize("variant", ["many_to_one", "many_to_many_responsive"])
+def test_linear_worker_rejects_a_quota(variant):
+    """A quota on a 'linear' worker is a misspelt 'linear_quota', not a quota of 1."""
+    spec = {
+        "variant": variant,
+        "firms": {"f1": {"kind": "quota_linear", "order": ["w1"]}},
+        "workers": {"w1": {"kind": "linear", "order": ["f1"], "quota": 2}},
+    }
+    with pytest.raises(SchemaError, match="kind 'linear' takes no 'quota'; use 'linear_quota'"):
+        Market.from_json(spec)
+
+
 def test_worker_choice_is_top_quota_of_order(example1):
     m, _ = example1
     c = m.worker_choice("w5")  # order f1 > f5 > f4, quota 1

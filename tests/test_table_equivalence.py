@@ -20,6 +20,7 @@ from matchlattice import (
     W_set_of_firm,
     blocking_pairs,
     build_related_market,
+    enumerate_matchings,
     enumerate_stable,
     gamma_join,
     is_firm_quasi_stable,
@@ -85,6 +86,21 @@ def test_tables_match_per_pair_forms(variant, kind):
             assert outcome(tarski_worker_step, m, mu, False) == outcome(ref.worker_step, m, mu)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_pass_stability_equals_the_definition(variant):
+    """``is_stable`` on every edge set of small markets and of their related markets."""
+    for kind in FIRM_KINDS:
+        spec = RandomMarketSpec(variant=variant, n_firms=3, n_workers=4, firm_kind=kind, worker_kind=kind)
+        for seed in range(3):
+            m = random_market(seed, spec)
+            markets = [m]
+            if variant == "many_to_many_responsive":
+                markets.append(build_related_market(m).market)
+            for market in markets:
+                for mu in enumerate_matchings(market):
+                    assert outcome(is_stable, market, mu) == outcome(ref.is_stable, market, mu)
+
+
 def walk_markets():
     for i, variant in enumerate(VARIANTS):
         spec = RandomMarketSpec(variant, 40, 40, density=0.5, firm_quota_max=3)
@@ -101,6 +117,13 @@ def test_walks_give_identical_traces(name, m):
         want = ref.iterate_to_fixed_point(m, Matching.empty(), side, iteration_cap(m))
         assert got.steps > 0
         assert got == want
+
+
+@pytest.mark.parametrize("name,m", list(walk_markets()), ids=lambda x: x if isinstance(x, str) else "")
+def test_one_pass_stability_along_walks(name, m):
+    for side in ("firms", "workers"):
+        for mu in iterate_to_fixed_point(m, Matching.empty(), side, check=False).matchings:
+            assert is_stable(m, mu) == ref.is_stable(m, mu)
 
 
 def test_many_to_one_worker_quasi_stability_at_scale():
