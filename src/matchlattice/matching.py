@@ -69,7 +69,7 @@ class Matching:
         return next(iter(fs))
 
     def __eq__(self, other):
-        return isinstance(other, Matching) and self._edges == other._edges
+        return self is other or isinstance(other, Matching) and self._edges == other._edges
 
     def __hash__(self):
         return self._hash

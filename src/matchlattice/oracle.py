@@ -110,7 +110,8 @@ def enumerate_matchings(
     ``choose`` once on every set of the workers whose options name it, and
     a worker joins it only if the firm's set stays a prefix, in worker
     order, of one it keeps; a complete matching is yielded only if every
-    firm keeps its set.  The budget counts the matchings before this filter.
+    firm keeps its set.  The budget counts the matchings before this filter;
+    it refuses as soon as the workers listed so far allow more.
     """
     budget = budget or DEFAULT_BUDGET
     if len(m.firm_ids) > budget.max_firms or len(m.worker_ids) > budget.max_workers:
@@ -119,10 +120,19 @@ def enumerate_matchings(
             f"{budget.max_firms}x{budget.max_workers}"
         )
     workers = m.worker_ids
-    options = [_worker_options(m, w, ir_workers_only) for w in workers]
-    total = prod(map(len, options))
-    if total > budget.max_matchings:
-        raise BudgetExceeded(f"{total} matchings exceed budget {budget.max_matchings}")
+    options, total = [], 1
+    for i, w in enumerate(workers):
+        options.append(_worker_options(m, w, ir_workers_only))
+        total *= len(options[-1])
+        # Every later worker has an option (the empty set, if it keeps it),
+        # so the product only grows and the refusal is exact.
+        if total > budget.max_matchings and all(
+            not ir_workers_only or not m.worker_choice(v).choose(()) for v in workers[i + 1 :]
+        ):
+            raise BudgetExceeded(
+                f"at least {total} matchings (options of {i + 1} of {len(workers)} workers) "
+                f"exceed budget {budget.max_matchings}"
+            )
 
     kept, prefixes = {}, {}
     if ir_firms_only:

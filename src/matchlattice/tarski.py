@@ -23,6 +23,8 @@ and the public firm and worker names delegate to them.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .errors import (
@@ -39,8 +41,6 @@ from .matching import (
     _agents,
     _other,
     _require_side,
-    _transpose,
-    _willing,
     blair_geq_firms,
     blocking_pairs,
     is_firm_quasi_stable,
@@ -64,13 +64,12 @@ def _require_quasi_stable(m: Market, side: str, named) -> None:
             raise error(f"{what} is not {label}-quasi-stable")
 
 
-def _everyone_chooses(m: Market, mu: Matching, side: str, offers) -> Matching:
-    """The matching in which each ``side`` agent of the ``(agent, offer)`` rows holds its choice."""
-    choice = _agents(m, mu, side)[1]
+def _from_rows(m: Market, side: str, rows) -> Matching:
+    """The matching in which each ``side`` agent of the ``(agent, partners)`` rows holds them."""
     if side == "firms":
-        out = Matching((a, b) for a, offer in offers for b in choice(a).choose(offer))
+        out = Matching((a, b) for a, bs in rows for b in bs)
     else:
-        out = Matching((b, a) for a, offer in offers for b in choice(a).choose(offer))
+        out = Matching((b, a) for a, bs in rows for b in bs)
     out.validate_for(m)
     return out
 
@@ -78,9 +77,9 @@ def _everyone_chooses(m: Market, mu: Matching, side: str, offers) -> Matching:
 def _pooled_join(m: Market, mu: Matching, mu2: Matching, side: str, check: bool) -> Matching:
     if check:
         _require_quasi_stable(m, side, (("first argument", mu), ("second argument", mu2)))
-    ids, _, held, _ = _agents(m, mu, side)
+    ids, choice, held, _ = _agents(m, mu, side)
     held2 = _agents(m, mu2, side)[2]
-    return _everyone_chooses(m, mu, side, [(a, held(a) | held2(a)) for a in ids])
+    return _from_rows(m, side, [(a, choice(a).choose(held(a) | held2(a))) for a in ids])
 
 
 def lambda_join(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Matching:
@@ -103,13 +102,101 @@ def gamma_join(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Ma
     return _pooled_join(m, mu, mu2, "workers", check)
 
 
-def _pools(m: Market, mu: Matching, side: str) -> dict[AgentId, frozenset[AgentId]]:
-    """Every agent's :func:`B_set_of_firm` or :func:`B_set_of_worker`, one choice per agent."""
-    ids, _, held, _ = _agents(m, mu, side)
-    other_ids, other_choice, _, _ = _agents(m, mu, _other(side))
-    willing = _willing(m, mu, side)
-    claims = _transpose(((b, other_choice(b).choose(willing[b])) for b in other_ids), ids)
-    return {a: claims[a] | held(a) for a in ids}
+def _toggle(table: dict, toggled: dict) -> None:
+    """Toggle each agent of ``toggled[b]`` in the frozenset ``table[b]``."""
+    for b, agents in toggled.items():
+        table[b] = table[b].symmetric_difference(agents)
+
+
+class _Walk:
+    """One side's operator tables at the matching ``last`` they were built for.
+
+    A step needs, for each ``side`` agent, who it would take on; for each
+    other-side agent, the side agents willing to take it on and its claim
+    (its choice among them); and for each ``side`` agent, its choice from
+    its pool, the claims naming it plus what it holds.  Only a changed
+    holding changes who an agent takes on, so :meth:`advance` re-evaluates
+    just what the changed holdings reach: the agents holding them, the
+    other-side agents whose willing sets they change, and the owners of the
+    claims that change in turn.  With ``last`` unset every agent is dirty,
+    which is the full evaluation.  Agents are visited in id order, so the
+    calls made and any exception raised do not depend on hash order.
+    """
+
+    def __init__(self, m: Market, side: str):
+        self.m, self.side = m, side
+        self.last: Matching | None = None
+        firms = {f: i for i, f in enumerate(m.firm_ids)}
+        workers = {w: i for i, w in enumerate(m.worker_ids)}
+        self.position, self.other_position = (firms, workers) if side == "firms" else (workers, firms)
+
+    def _refresh(self, mu: Matching):
+        """Bring the takes-on, willing and claim tables to ``mu``; return the agents to re-choose.
+
+        ``last`` stays unset until :meth:`advance` completes, so after a
+        raise the next call is a full evaluation.
+        """
+        ids, _, _, takes_on = _agents(self.m, mu, self.side)
+        other_ids, other_choice = _agents(self.m, mu, _other(self.side))[:2]
+        last, self.last = self.last, None
+        if last is None:
+            nobody = frozenset()
+            self.takes, self.claimants = dict.fromkeys(ids, nobody), dict.fromkeys(ids, nobody)
+            self.willing, self.claims = dict.fromkeys(other_ids, nobody), dict.fromkeys(other_ids, nobody)
+            self.choices: dict[AgentId, frozenset[AgentId]] = {}
+            self.movers: set[AgentId] = set()
+            dirty = ids
+        else:
+            k = 0 if self.side == "firms" else 1
+            touched = {edge[k] for edge in mu.edges ^ last.edges} & self.position.keys()
+            dirty = sorted(touched, key=self.position.__getitem__)
+        # Tables start empty, so a fresh walk toggles in whole sets.
+        takes, toggled = self.takes, defaultdict(list)
+        for a in dirty:
+            old, new = takes[a], takes_on(a)
+            takes[a] = new
+            for b in old ^ new if old else new:
+                toggled[b].append(a)
+        _toggle(self.willing, toggled)
+        reclaim = other_ids if last is None else sorted(toggled, key=self.other_position.__getitem__)
+        claims, willing, toggled = self.claims, self.willing, defaultdict(list)
+        for b in reclaim:
+            old, new = claims[b], other_choice(b).choose(willing[b])
+            claims[b] = new
+            for a in old ^ new if old else new:
+                toggled[a].append(b)
+        _toggle(self.claimants, toggled)
+        return ids if last is None else sorted(toggled.keys() | touched, key=self.position.__getitem__)
+
+    def pool(self, mu: Matching, a: AgentId) -> frozenset[AgentId]:
+        """``a``'s operator pool under ``mu``: what it holds plus the claims naming it."""
+        self._refresh(mu)
+        held = _agents(self.m, mu, self.side)[2]
+        return held(a) | self.claimants[a]
+
+    def advance(self, mu: Matching) -> Matching:
+        """One operator application to ``mu``; ``mu`` itself when nobody moves."""
+        _, choice, held, _ = _agents(self.m, mu, self.side)
+        rechoose = self._refresh(mu)
+        claimants, choices, movers = self.claimants, self.choices, self.movers
+        for a in rechoose:
+            h = held(a)
+            choices[a] = chosen = choice(a).choose(h | claimants[a])
+            if chosen == h:
+                movers.discard(a)
+            else:
+                movers.add(a)
+        self.last = mu
+        # With nobody moving the rows are ``mu``, unless ``mu`` has edges at
+        # agents outside the market.
+        if movers or sum(map(len, choices.values())) != len(mu):
+            return _from_rows(self.m, self.side, choices.items())
+        mu.validate_for(self.m)
+        return mu
+
+
+# The walk an ``iterate_to_fixed_point`` call carries across its steps.
+_current_walk: ContextVar[_Walk | None] = ContextVar("_current_walk", default=None)
 
 
 def B_set_of_firm(m: Market, mu: Matching, f: AgentId) -> frozenset[AgentId]:
@@ -119,7 +206,7 @@ def B_set_of_firm(m: Market, mu: Matching, f: AgentId) -> frozenset[AgentId]:
     firms willing to take her on.  Assumes ``mu`` is worker-quasi-stable.
     """
     m.firm_choice(f)  # raises UnknownAgent
-    return _pools(m, mu, "firms")[f]
+    return _Walk(m, "firms").pool(mu, f)
 
 
 def B_set_of_worker(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
@@ -130,13 +217,16 @@ def B_set_of_worker(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
     choice.  Assumes ``mu`` is firm-quasi-stable.
     """
     m.worker_choice(w)  # raises UnknownAgent
-    return _pools(m, mu, "workers")[w]
+    return _Walk(m, "workers").pool(mu, w)
 
 
 def _step(m: Market, mu: Matching, side: str, check: bool) -> Matching:
     if check:
         _require_quasi_stable(m, side, [("operator input", mu)])
-    return _everyone_chooses(m, mu, side, _pools(m, mu, side).items())
+    walk = _current_walk.get()
+    if walk is None or walk.m is not m or walk.side != side:
+        walk = _Walk(m, side)
+    return walk.advance(mu)
 
 
 def tarski_firm_step(m: Market, mu: Matching, check: bool = True) -> Matching:
@@ -220,28 +310,32 @@ def iterate_to_fixed_point(
         cap = iteration_cap(m)
     visited = [mu]
     current = mu
-    for i in range(1, cap + 1):
-        try:
-            nxt = step(m, current, check=False)
-        except SchemaError as e:
-            raise NonConvergence(
-                f"operator step {i} built no matching ({e}); the start is not "
-                "quasi-stable or the market violates substitutability"
-            ) from e
-        if nxt == current:
-            if not is_stable(m, current):
+    token = _current_walk.set(_Walk(m, side))
+    try:
+        for i in range(1, cap + 1):
+            try:
+                nxt = step(m, current, check=False)
+            except SchemaError as e:
                 raise NonConvergence(
-                    "operator reached a fixed point that is not stable; "
+                    f"operator step {i} built no matching ({e}); the start is not "
+                    "quasi-stable or the market violates substitutability"
+                ) from e
+            if nxt == current:
+                if not is_stable(m, current):
+                    raise NonConvergence(
+                        "operator reached a fixed point that is not stable; "
+                        "the market violates substitutability"
+                    )
+                return OperatorTrace(side, tuple(visited))
+            if not improves(m, nxt, current):
+                raise NonConvergence(
+                    "operator step failed to improve its side's order; "
                     "the market violates substitutability"
                 )
-            return OperatorTrace(side, tuple(visited))
-        if not improves(m, nxt, current):
-            raise NonConvergence(
-                "operator step failed to improve its side's order; "
-                "the market violates substitutability"
-            )
-        visited.append(nxt)
-        current = nxt
+            visited.append(nxt)
+            current = nxt
+    finally:
+        _current_walk.reset(token)
     raise NonConvergence(f"no fixed point within {cap} steps")
 
 

@@ -10,7 +10,7 @@ the definitions, and stay as the reference the package is tested against.
 
 from itertools import combinations
 
-from matchlattice import Matching, NonConvergence, OperatorTrace
+from matchlattice import Matching, NonConvergence, OperatorTrace, SchemaError
 from matchlattice.market import agent_key
 
 
@@ -197,12 +197,18 @@ def worker_blair_geq(m, mu, mu2):
 
 
 def iterate_to_fixed_point(m, mu, side, cap):
-    """The package's walk with the per-pair steps, orders and stability check."""
+    """The package's walk with the per-pair steps, orders and stability check.
+
+    As in the package, a step that builds no matching of ``m`` is non-convergence.
+    """
     step = firm_step if side == "firms" else worker_step
     improves = firm_blair_geq if side == "firms" else worker_blair_geq
     visited = [mu]
     for _ in range(cap):
-        nxt = step(m, visited[-1])
+        try:
+            nxt = step(m, visited[-1])
+        except SchemaError as e:
+            raise NonConvergence("step built no matching") from e
         if nxt == visited[-1]:
             if not is_stable(m, nxt):
                 raise NonConvergence("fixed point is not stable")

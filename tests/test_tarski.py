@@ -1,5 +1,8 @@
 """Candidates, operators, fixed-point iteration, joins and meets."""
 
+import sys
+import threading
+
 import pytest
 
 from matchlattice import (
@@ -33,6 +36,7 @@ from matchlattice import (
     tarski_worker_step,
     worker_order_geq,
 )
+from matchlattice import tarski
 
 
 def tiny_market(firm_lists, worker_orders):
@@ -188,6 +192,16 @@ def test_iterate_cap_raises(example2):
     m, named = example2
     with pytest.raises(NonConvergence):
         iterate_to_fixed_point(m, named["mu_boxed"], "firms", cap=1)
+
+
+def test_walks_leave_no_tables_behind(example2):
+    """A walk's tables live only while ``iterate_to_fixed_point`` runs, whether it returns or raises."""
+    m, named = example2
+    iterate_to_fixed_point(m, named["mu_boxed"], "firms")
+    assert tarski._current_walk.get() is None
+    with pytest.raises(NonConvergence):
+        iterate_to_fixed_point(m, named["mu_boxed"], "firms", cap=1)
+    assert tarski._current_walk.get() is None
 
 
 def test_step_that_builds_no_matching_is_nonconvergence(example1):
@@ -346,3 +360,35 @@ def test_side_names_are_checked(example1, call):
     m, _ = example1
     with pytest.raises(ValueError, match="^side must be 'firms' or 'workers'$"):
         call(m)
+
+
+def test_threads_walking_one_market_get_the_serial_traces():
+    """Each thread carries its own walk tables, so concurrent walks do not mix."""
+    m = random_market(3, RandomMarketSpec("many_to_many_sub", 40, 40))
+    sides = ("firms", "workers")
+    serial = {side: iterate_to_fixed_point(m, Matching.empty(), side, check=False) for side in sides}
+    assert min(trace.steps for trace in serial.values()) > 5
+    start = threading.Barrier(4)
+    traces = [[] for _ in range(4)]
+
+    def walk(i):
+        start.wait()
+        for k in range(4):
+            side = sides[(i + k) % 2]
+            traces[i].append((side, iterate_to_fixed_point(m, Matching.empty(), side, check=False)))
+
+    threads = [threading.Thread(target=walk, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside every step
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(got) == 4 for got in traces)
+    for got in traces:
+        for side, trace in got:
+            assert trace == serial[side]
