@@ -64,14 +64,14 @@ class ChoiceFunction:
     def __init__(self, ground: Iterable[AgentId]):
         self.ground = frozenset(ground)
 
-    def _known(self, offered: Iterable[AgentId]) -> frozenset[AgentId]:
-        s = frozenset(offered)
-        if not s <= self.ground:
-            raise UnknownAgent(f"offered set contains unknown ids: {sort_agents(s - self.ground)}")
-        return s
+    # ``choose`` and ``accepting`` are the hot entry points, so each checks
+    # the ground set itself rather than through a helper.
 
     def choose(self, offered: Iterable[AgentId]) -> frozenset[AgentId]:
-        return self._choose(self._known(offered))
+        s = offered if type(offered) is frozenset else frozenset(offered)
+        if not s <= self.ground:
+            raise UnknownAgent(f"offered set contains unknown ids: {sort_agents(s - self.ground)}")
+        return self._choose(s)
 
     def accepting(self, held: Iterable[AgentId]) -> frozenset[AgentId]:
         """Every ``x`` in the ground set with ``x in C(held | {x})``.
@@ -81,7 +81,10 @@ class ChoiceFunction:
         question the operators and the blocking-pair scan ask pair by pair.
         Raises :class:`UnknownAgent` where ``choose(held)`` would.
         """
-        return self._accepting(self._known(held))
+        s = held if type(held) is frozenset else frozenset(held)
+        if not s <= self.ground:
+            raise UnknownAgent(f"offered set contains unknown ids: {sort_agents(s - self.ground)}")
+        return self._accepting(s)
 
     def _accepting(self, held: frozenset[AgentId]) -> frozenset[AgentId]:
         # Definitional fallback, one choice per ground element.
@@ -126,6 +129,8 @@ class SetListChoice(ChoiceFunction):
                 )
         super().__init__(ground)
         self.subsets = subsets
+        # Each entry with its sole element, or None past one element.
+        self._entries = tuple((x, next(iter(x)) if len(x) == 1 else None) for x in subsets)
 
     def _choose(self, s: frozenset[AgentId]) -> frozenset[AgentId]:
         for x in self.subsets:
@@ -138,7 +143,12 @@ class SetListChoice(ChoiceFunction):
         # entry inside held itself, that can only be an entry whose sole
         # element outside held is x; past it, x is accepted iff it is in it.
         out = set()
-        for x in self.subsets:
+        for x, sole in self._entries:
+            if sole is not None:
+                out.add(sole)
+                if sole in held:
+                    break
+                continue
             missing = x - held
             if not missing:
                 out.update(x)
@@ -190,15 +200,22 @@ class QuotaLinearChoice(ChoiceFunction):
         acceptable = s & self._acceptable
         if len(acceptable) <= self.quota:
             return acceptable
+        if self.quota == 1:
+            return frozenset((min(acceptable, key=self._rank.__getitem__),))
         return frozenset(sorted(acceptable, key=self._rank.__getitem__)[: self.quota])
 
     def _accepting(self, held: frozenset[AgentId]) -> frozenset[AgentId]:
         # x is accepted iff it ranks at or above the quota-th best acceptable
         # element held; with fewer than quota of those, every acceptable x is.
-        ranks = sorted(self._rank[a] for a in held if a in self._rank)
-        if len(ranks) < self.quota:
+        rank = self._rank
+        if self.quota == 1:
+            cutoff = min([rank[a] for a in held if a in rank], default=None)
+        else:
+            ranks = sorted([rank[a] for a in held if a in rank])
+            cutoff = ranks[self.quota - 1] if len(ranks) >= self.quota else None
+        if cutoff is None:
             return self._acceptable
-        return frozenset(self.order[: ranks[self.quota - 1] + 1])
+        return frozenset(self.order[: cutoff + 1])
 
     @property
     def list_length(self) -> int:

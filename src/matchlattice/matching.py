@@ -23,6 +23,8 @@ from typing import Iterable, Iterator, Mapping
 from .errors import CapExceeded, SchemaError
 from .market import SUBSET_CAP, AgentId, Market, QuotaLinearChoice, _subsets, agent_key, sort_agents
 
+EMPTY: frozenset[AgentId] = frozenset()
+
 
 class Matching:
     """Immutable firm-worker assignment with both views kept consistent."""
@@ -41,6 +43,29 @@ class Matching:
         self._by_worker = {w: frozenset(fs) for w, fs in by_worker.items()}
         self._hash = hash(edge_set)
 
+    @classmethod
+    def _from_view(cls, rows: Iterable[tuple[AgentId, frozenset[AgentId]]], side: str) -> "Matching":
+        """The matching whose ``side`` view is the ``(agent, frozenset)`` rows, one per agent.
+
+        Empty rows are dropped, so the result equals the one built from its
+        edges; only the edge set and the other side's view are derived.
+        """
+        view = {a: bs for a, bs in rows if bs}
+        cols: dict[AgentId, list[AgentId]] = {}
+        for a, bs in view.items():
+            for b in bs:
+                cols.setdefault(b, []).append(a)
+        other = {b: frozenset(v) for b, v in cols.items()}
+        out = cls.__new__(cls)
+        if side == "firms":
+            out._edges = frozenset([(a, b) for a, bs in view.items() for b in bs])
+            out._by_firm, out._by_worker = view, other
+        else:
+            out._edges = frozenset([(b, a) for a, bs in view.items() for b in bs])
+            out._by_firm, out._by_worker = other, view
+        out._hash = hash(out._edges)
+        return out
+
     @staticmethod
     def empty() -> "Matching":
         return Matching()
@@ -54,10 +79,10 @@ class Matching:
         return self._edges
 
     def of_firm(self, f: AgentId) -> frozenset[AgentId]:
-        return self._by_firm.get(f, frozenset())
+        return self._by_firm.get(f, EMPTY)
 
     def of_worker(self, w: AgentId) -> frozenset[AgentId]:
-        return self._by_worker.get(w, frozenset())
+        return self._by_worker.get(w, EMPTY)
 
     def firm_of(self, w: AgentId) -> AgentId | None:
         """The single employer in a many-to-one matching (None when unmatched)."""
@@ -189,12 +214,13 @@ def _worker_takes_on(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
     A many-to-one worker holding an unacceptable firm keeps the linear
     order's natural-id tie-break below the empty option.
     """
-    if m.variant == "many_to_one":
+    held = mu.of_worker(w)
+    if held and m.variant == "many_to_one":
         current = mu.firm_of(w)
         pref = m.worker_pref(w)
-        if current is not None and not pref.is_acceptable(current):
+        if not pref.is_acceptable(current):
             return frozenset(f for f in m.firm_ids if pref.weakly_prefers(f, current))
-    return m.worker_choice(w).accepting(mu.of_worker(w))
+    return m.worker_choice(w).accepting(held)
 
 
 def _worker_block_clause(m: Market, mu: Matching, w: AgentId):
@@ -221,9 +247,10 @@ def _blocking_pairs(m: Market, mu: Matching) -> Iterator[BlockingPair]:
     """
     position = {w: i for i, w in enumerate(m.worker_ids)}.__getitem__
     clauses: dict[AgentId, tuple] = {}
-    for f in m.firm_ids:
-        held = mu.of_firm(f)
-        for w in sorted(m.firm_choice(f).accepting(held) - held, key=position):
+    choices, view, _ = _agents(m, mu, "firms")
+    for f, c in choices.items():
+        held = view.get(f, EMPTY)
+        for w in sorted(c.accepting(held) - held, key=position):
             if w not in clauses:
                 clauses[w] = _worker_block_clause(m, mu, w)
             takes_on, reason = clauses[w]
@@ -258,17 +285,22 @@ def is_stable(m: Market, mu: Matching) -> bool:
     workers = _accepting_if_rational(m, mu, "workers")
     if workers is None:
         return False
-    return not any(f in workers[w] for f in m.firm_ids for w in firms[f] - mu.of_firm(f))
+    view = _agents(m, mu, "firms")[1]
+    for f, taken in firms.items():
+        for w in taken - view.get(f, EMPTY):
+            if f in workers[w]:
+                return False
+    return True
 
 
 def _accepting_if_rational(m: Market, mu: Matching, side: str):
     """Each ``side`` agent's ``accepting(held)``, in id order; None at the first that drops someone."""
-    ids, choice, held_by, _ = _agents(m, mu, side)
+    choices, view, _ = _agents(m, mu, side)
     out = {}
-    for a in ids:
-        held = held_by(a)
-        out[a] = choice(a).accepting(held)
-        if not held <= out[a]:
+    for a, c in choices.items():
+        held = view.get(a, EMPTY)
+        out[a] = taken = c.accepting(held)
+        if not held <= taken:
             return None
     return out
 
@@ -295,21 +327,32 @@ def _other(side: str) -> str:
 
 
 def _agents(m: Market, mu: Matching, side: str):
-    """``(ids, choice, held, takes_on)`` of one side under ``mu``.
+    """``(choices, view, takes_on)`` of one side under ``mu``.
 
-    The side-generic bodies read both sides through this; ``takes_on(a)`` is
-    every partner ``a`` would keep or add.
+    ``choices`` is the market's ``{agent: choice function}`` table, in id
+    order, and ``view`` the matching's ``{agent: partners}`` table, which
+    leaves out unmatched agents: read it with ``view.get(a, EMPTY)``.  The
+    side-generic bodies read both sides through this, and it is the only
+    reader of the market's choice tables outside :mod:`market`.
+    ``takes_on(a)`` is every partner ``a`` would keep or add.
     """
     if side == "firms":
-        choice, held = m.firm_choice, mu.of_firm
-        return m.firm_ids, choice, held, lambda f: choice(f).accepting(held(f))
-    return m.worker_ids, m.worker_choice, mu.of_worker, partial(_worker_takes_on, m, mu)
+        choices, view = m._firm_choices, mu._by_firm
+    else:
+        choices, view = m._worker_choices, mu._by_worker
+        if m.variant == "many_to_one":
+            return choices, view, partial(_worker_takes_on, m, mu)
+
+    def takes_on(a: AgentId) -> frozenset[AgentId]:
+        return choices[a].accepting(view.get(a, EMPTY))
+
+    return choices, view, takes_on
 
 
 def _willing(m: Market, mu: Matching, side: str) -> dict[AgentId, frozenset[AgentId]]:
     """Every :func:`F_set_of_worker` (firms) or :func:`W_set_of_firm` (workers), one query per agent."""
-    ids, _, _, takes_on = _agents(m, mu, side)
-    return _transpose(((a, takes_on(a)) for a in ids), _agents(m, mu, _other(side))[0])
+    choices, _, takes_on = _agents(m, mu, side)
+    return _transpose(((a, takes_on(a)) for a in choices), _agents(m, mu, _other(side))[0])
 
 
 def F_set_of_worker(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
@@ -345,11 +388,11 @@ def _holdings_survive(
     other choice is checked on each ``T``, and more than ``cap`` willing
     partners raise :class:`CapExceeded`.
     """
-    ids, choice, held_by, _ = _agents(m, mu, side)
+    choices, view, _ = _agents(m, mu, side)
     partners = _agents(m, mu, _other(side))[0]
     willing = _willing(m, mu, _other(side))
-    for a in ids:
-        held, c = held_by(a), choice(a)
+    for a, c in choices.items():
+        held = view.get(a)
         if not held:
             continue
         if assume_substitutable or isinstance(c, QuotaLinearChoice):
@@ -401,9 +444,13 @@ def is_firm_quasi_stable(
 
 def _blair_geq(m: Market, mu: Matching, mu2: Matching, side: str) -> bool:
     """Each ``side`` agent chooses its mu-partners out of the pooled assignments."""
-    ids, choice, held, _ = _agents(m, mu, side)
-    held2 = _agents(m, mu2, side)[2]
-    return all(choice(a).choose(held(a) | held2(a)) == held(a) for a in ids)
+    choices, view, _ = _agents(m, mu, side)
+    view2 = _agents(m, mu2, side)[1]
+    for a, c in choices.items():
+        held = view.get(a, EMPTY)
+        if c.choose(held | view2.get(a, EMPTY)) != held:
+            return False
+    return True
 
 
 def blair_geq_firms(m: Market, mu: Matching, mu2: Matching) -> bool:

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .market import AgentId, Market
 from .matching import (
+    EMPTY,
     Matching,
     _agents,
     _other,
@@ -65,11 +66,8 @@ def _require_quasi_stable(m: Market, side: str, named) -> None:
 
 
 def _from_rows(m: Market, side: str, rows) -> Matching:
-    """The matching in which each ``side`` agent of the ``(agent, partners)`` rows holds them."""
-    if side == "firms":
-        out = Matching((a, b) for a, bs in rows for b in bs)
-    else:
-        out = Matching((b, a) for a, bs in rows for b in bs)
+    """The matching in which each ``side`` agent of the ``(agent, frozenset)`` rows holds them."""
+    out = Matching._from_view(rows, side)
     out.validate_for(m)
     return out
 
@@ -77,9 +75,11 @@ def _from_rows(m: Market, side: str, rows) -> Matching:
 def _pooled_join(m: Market, mu: Matching, mu2: Matching, side: str, check: bool) -> Matching:
     if check:
         _require_quasi_stable(m, side, (("first argument", mu), ("second argument", mu2)))
-    ids, choice, held, _ = _agents(m, mu, side)
-    held2 = _agents(m, mu2, side)[2]
-    return _from_rows(m, side, [(a, choice(a).choose(held(a) | held2(a))) for a in ids])
+    choices, view, _ = _agents(m, mu, side)
+    view2 = _agents(m, mu2, side)[1]
+    return _from_rows(
+        m, side, [(a, c.choose(view.get(a, EMPTY) | view2.get(a, EMPTY))) for a, c in choices.items()]
+    )
 
 
 def lambda_join(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Matching:
@@ -136,16 +136,15 @@ class _Walk:
         ``last`` stays unset until :meth:`advance` completes, so after a
         raise the next call is a full evaluation.
         """
-        ids, _, _, takes_on = _agents(self.m, mu, self.side)
-        other_ids, other_choice = _agents(self.m, mu, _other(self.side))[:2]
+        choice_of, _, takes_on = _agents(self.m, mu, self.side)
+        other_choice_of = _agents(self.m, mu, _other(self.side))[0]
         last, self.last = self.last, None
         if last is None:
-            nobody = frozenset()
-            self.takes, self.claimants = dict.fromkeys(ids, nobody), dict.fromkeys(ids, nobody)
-            self.willing, self.claims = dict.fromkeys(other_ids, nobody), dict.fromkeys(other_ids, nobody)
+            self.takes, self.claimants = dict.fromkeys(choice_of, EMPTY), dict.fromkeys(choice_of, EMPTY)
+            self.willing, self.claims = dict.fromkeys(other_choice_of, EMPTY), dict.fromkeys(other_choice_of, EMPTY)
             self.choices: dict[AgentId, frozenset[AgentId]] = {}
             self.movers: set[AgentId] = set()
-            dirty = ids
+            dirty = choice_of
         else:
             k = 0 if self.side == "firms" else 1
             touched = {edge[k] for edge in mu.edges ^ last.edges} & self.position.keys()
@@ -158,30 +157,29 @@ class _Walk:
             for b in old ^ new if old else new:
                 toggled[b].append(a)
         _toggle(self.willing, toggled)
-        reclaim = other_ids if last is None else sorted(toggled, key=self.other_position.__getitem__)
+        reclaim = other_choice_of if last is None else sorted(toggled, key=self.other_position.__getitem__)
         claims, willing, toggled = self.claims, self.willing, defaultdict(list)
         for b in reclaim:
-            old, new = claims[b], other_choice(b).choose(willing[b])
+            old, new = claims[b], other_choice_of[b].choose(willing[b])
             claims[b] = new
             for a in old ^ new if old else new:
                 toggled[a].append(b)
         _toggle(self.claimants, toggled)
-        return ids if last is None else sorted(toggled.keys() | touched, key=self.position.__getitem__)
+        return choice_of if last is None else sorted(toggled.keys() | touched, key=self.position.__getitem__)
 
     def pool(self, mu: Matching, a: AgentId) -> frozenset[AgentId]:
         """``a``'s operator pool under ``mu``: what it holds plus the claims naming it."""
         self._refresh(mu)
-        held = _agents(self.m, mu, self.side)[2]
-        return held(a) | self.claimants[a]
+        return _agents(self.m, mu, self.side)[1].get(a, EMPTY) | self.claimants[a]
 
     def advance(self, mu: Matching) -> Matching:
         """One operator application to ``mu``; ``mu`` itself when nobody moves."""
-        _, choice, held, _ = _agents(self.m, mu, self.side)
+        choice_of, view, _ = _agents(self.m, mu, self.side)
         rechoose = self._refresh(mu)
         claimants, choices, movers = self.claimants, self.choices, self.movers
         for a in rechoose:
-            h = held(a)
-            choices[a] = chosen = choice(a).choose(h | claimants[a])
+            h = view.get(a, EMPTY)
+            choices[a] = chosen = choice_of[a].choose(h | claimants[a])
             if chosen == h:
                 movers.discard(a)
             else:

@@ -14,6 +14,7 @@ from matchlattice import (
     SetListChoice,
     UnknownAgent,
     W_set_of_firm,
+    validate_substitutable,
 )
 from matchlattice.market import ChoiceFunction, _subsets
 
@@ -117,3 +118,67 @@ def test_empty_set_list_accepts_nobody():
     c = SetListChoice([], ground=["w1", "w2"])
     assert c.accepting(set()) == frozenset()
     assert c.accepting({"w1"}) == frozenset()
+
+
+# -- the kernels' fast paths ----------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.permutations(IDS), st.integers(0, len(IDS)), st.integers(1, 4), st.sets(st.sampled_from(IDS)))
+def test_quota_linear_choose_is_the_best_quota_by_rank(order, length, quota, offered):
+    order = order[:length]
+    c = QuotaLinearChoice(order, quota, ground=IDS)
+    assert c.choose(offered) == frozenset(sorted(offered & set(order), key=order.index)[:quota])
+
+
+@settings(max_examples=100, deadline=None)
+@given(choice_and_held())
+def test_every_iterable_gives_the_same_answer(case):
+    c, held = case
+    for form in (list, tuple, set, frozenset):
+        assert c.choose(form(sorted(held))) == c.choose(held)
+        assert c.accepting(form(sorted(held))) == c.accepting(held)
+
+
+@settings(max_examples=100, deadline=None)
+@given(choice_and_held(), st.sets(st.sampled_from(["z1", "z2", "z10"]), min_size=1))
+def test_unknown_ids_are_named_in_natural_order(case, unknown):
+    c, held = case
+    message = f"offered set contains unknown ids: {sorted(unknown, key=lambda a: int(a[1:]))}"
+    for form in (list, tuple, set, frozenset):
+        offered = form(sorted(held | unknown))
+        for query in (c.choose, c.accepting):
+            with pytest.raises(UnknownAgent) as e:
+                query(offered)
+            assert str(e.value) == message
+
+
+@st.composite
+def mixed_set_list(draw):
+    """Set lists with at least one singleton and one larger entry."""
+    single = st.builds(lambda a: frozenset([a]), st.sampled_from(IDS))
+    larger = st.frozensets(st.sampled_from(IDS), min_size=2, max_size=4)
+    entries = draw(st.lists(st.one_of(single, larger), max_size=6, unique=True))
+    entries += [draw(single.filter(lambda x: x not in entries)), draw(larger.filter(lambda x: x not in entries))]
+    return SetListChoice(draw(st.permutations(entries)), ground=IDS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_set_list(), st.sets(st.sampled_from(IDS)))
+def test_set_list_accepting_mixes_singletons_and_larger_entries(c, held):
+    assert c.accepting(held) == definitional(c, frozenset(held))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [["a1", "a2"], ["a1"]],
+        [["a1"], ["a2", "a3"], ["a3"]],
+        [["a2", "a3"], ["a1"], ["a3"], ["a1", "a2"]],
+    ],
+)
+def test_set_list_kernel_on_non_substitutable_lists(entries):
+    c = SetListChoice(entries, ground=IDS[:4])
+    assert not validate_substitutable(c).ok
+    for held in _subsets(tuple(IDS[:4])):
+        assert c.accepting(held) == definitional(c, held)
