@@ -56,7 +56,9 @@ class ChoiceFunction:
 
     Subclasses implement ``_choose``, and may override ``_accepting`` with a
     kernel that answers :meth:`accepting` without one ``choose`` per ground
-    element.
+    element.  A subclass that chooses through a known part of the ground set
+    names it as :attr:`support`, and the axiom validators then search only
+    the subsets of that part.
     """
 
     ground: frozenset[AgentId]
@@ -94,9 +96,21 @@ class ChoiceFunction:
         raise NotImplementedError
 
     @property
+    def support(self) -> frozenset[AgentId]:
+        """The ids this choice can pick: ``C(S) == C(S & L)`` and ``C(S) <= L``.
+
+        Both hold for every ``S``.  The default is the whole ground set, which
+        is always a support.
+        """
+        return self.ground
+
+    @property
     def list_length(self) -> int:
-        """Rough size of the underlying preference list (iteration cap input)."""
-        raise NotImplementedError
+        """Rough size of the underlying preference list (iteration cap input).
+
+        A choice with no list counts the partners it chooses from.
+        """
+        return len(self.ground)
 
     def rebased(self, ground: Iterable[AgentId]) -> "ChoiceFunction":
         """Same rule over a (weakly larger) ground set."""
@@ -129,6 +143,7 @@ class SetListChoice(ChoiceFunction):
                 )
         super().__init__(ground)
         self.subsets = subsets
+        self._listed = listed
         # Each entry with its sole element, or None past one element.
         self._entries = tuple((x, next(iter(x)) if len(x) == 1 else None) for x in subsets)
 
@@ -156,6 +171,10 @@ class SetListChoice(ChoiceFunction):
             if len(missing) == 1:
                 out.update(missing)
         return frozenset(out)
+
+    @property
+    def support(self) -> frozenset[AgentId]:
+        return self._listed
 
     @property
     def list_length(self) -> int:
@@ -216,6 +235,10 @@ class QuotaLinearChoice(ChoiceFunction):
         if cutoff is None:
             return self._acceptable
         return frozenset(self.order[: cutoff + 1])
+
+    @property
+    def support(self) -> frozenset[AgentId]:
+        return self._acceptable
 
     @property
     def list_length(self) -> int:
@@ -388,6 +411,11 @@ class Market:
                 self.worker_quotas[w] = q
                 self._worker_choices[w] = QuotaLinearChoice(pref.order, q, fset)
 
+        # The iteration cap's input, read on every walk.
+        lengths = [c.list_length for c in self._firm_choices.values()]
+        lengths += [c.list_length for c in self._worker_choices.values()]
+        self.max_list_length: int = max(lengths, default=1)
+
     def firm_choice(self, f: AgentId) -> ChoiceFunction:
         try:
             return self._firm_choices[f]
@@ -413,12 +441,6 @@ class Market:
         if self.variant == "many_to_many_sub":
             raise SchemaError("substitutable markets have no worker quotas")
         return self.worker_quotas[w]
-
-    @property
-    def max_list_length(self) -> int:
-        lengths = [c.list_length for c in self._firm_choices.values()]
-        lengths += [c.list_length for c in self._worker_choices.values()]
-        return max(lengths, default=1)
 
     def __repr__(self):
         return (
@@ -522,6 +544,17 @@ def _choice_to_json(c: ChoiceFunction) -> dict:
 # (chain any S' inside S by removing one element at a time).  This costs
 # n * 2^n evaluations instead of 3^n.
 #
+# Both searches, and the contraction check below, run over the subsets of the
+# choice's support L rather than its ground set.  The verdict and the witness
+# are the same.  Take a violation (S, x) with S not inside L.  Then x is in L:
+# for x outside L, S - {x} meets L where S does, so C(S - {x}) == C(S) and
+# nothing is lost or changed.  And (S & L, x) violates in the same way, since
+# C(S & L) == C(S) <= L and (S & L) - {x} == (S - {x}) & L.  So the first
+# violation in size-then-id order lies inside L, and the subsets of L come
+# out of that order in the same relative order as from the ground set.  A
+# choice that contracts on the subsets of L contracts everywhere, as
+# C(S) == C(S & L).  The caps and the skip notes still count the ground set.
+#
 # Path independence, C(S u S') == C(C(S) u S') for all S and S', is decided
 # from the same two checks plus the contraction check C(S) <= S: Aizerman and
 # Malishevski (1981) show that a contracting choice is path independent iff
@@ -586,7 +619,7 @@ def validate_substitutable(c: ChoiceFunction, cap: int = SUBSET_CAP) -> ChoiceRe
 
 
 def _substitutable_report(c: ChoiceFunction) -> ChoiceReport:
-    items = tuple(sort_agents(c.ground))
+    items = tuple(sort_agents(c.support))
     for s in _subsets(items):
         chosen = c.choose(s)
         for x in [y for y in items if y in s]:  # s in id order
@@ -616,7 +649,7 @@ def validate_consistent(c: ChoiceFunction, cap: int = SUBSET_CAP) -> ChoiceRepor
 
 
 def _consistent_report(c: ChoiceFunction) -> ChoiceReport:
-    items = tuple(sort_agents(c.ground))
+    items = tuple(sort_agents(c.support))
     for s in _subsets(items):
         chosen = c.choose(s)
         for x in [y for y in items if y in s and y not in chosen]:  # s - chosen in id order
@@ -659,7 +692,7 @@ def _path_independent_report(
     cap, which is what the direct search would have been held to.
     """
     if (
-        all(c.choose(s) <= s for s in _subsets(tuple(sort_agents(c.ground))))
+        all(c.choose(s) <= s for s in _subsets(tuple(sort_agents(c.support))))
         and (substitutable or _substitutable_report(c)).ok
         and (consistent or _consistent_report(c)).ok
     ):
@@ -718,11 +751,13 @@ def validate_market(
     form lets referential problems surface as report entries instead of
     construction errors.  Substitutability and consistency always run, and
     path independence is decided from their reports plus the contraction
-    check.  It runs only on ground sets within ``pi_cap``, because a failing
-    verdict falls back on the 4^n direct search for its witness, and a note
-    records any skip.  Ground sets beyond ``cap`` raise :class:`CapExceeded`
-    unless ``assume_substitutable`` is set, in which case the axioms are
-    skipped with a note.
+    check; these searches run over each choice's support (see
+    :attr:`ChoiceFunction.support`).  Path independence runs only on ground
+    sets within ``pi_cap``, because a failing verdict falls back on the 4^n
+    direct search over the ground set for its witness, and a note records
+    any skip.  Ground sets beyond ``cap`` raise :class:`CapExceeded` unless
+    ``assume_substitutable`` is set, in which case the axioms are skipped
+    with a note.  Both caps count the ground set, not the support.
     """
     report = MarketReport(ok=True)
     if not isinstance(source, Market):

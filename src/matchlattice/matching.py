@@ -50,18 +50,26 @@ class Matching:
         Empty rows are dropped, so the result equals the one built from its
         edges; only the edge set and the other side's view are derived.
         """
-        view = {a: bs for a, bs in rows if bs}
+        view: dict[AgentId, frozenset[AgentId]] = {}
         cols: dict[AgentId, list[AgentId]] = {}
-        for a, bs in view.items():
-            for b in bs:
-                cols.setdefault(b, []).append(a)
+        pairs = []
+        for a, bs in rows:
+            if bs:
+                view[a] = bs
+                for b in bs:
+                    pairs.append((a, b))
+                    col = cols.get(b)
+                    if col is None:
+                        cols[b] = [a]
+                    else:
+                        col.append(a)
         other = {b: frozenset(v) for b, v in cols.items()}
         out = cls.__new__(cls)
         if side == "firms":
-            out._edges = frozenset([(a, b) for a, bs in view.items() for b in bs])
+            out._edges = frozenset(pairs)
             out._by_firm, out._by_worker = view, other
         else:
-            out._edges = frozenset([(b, a) for a, bs in view.items() for b in bs])
+            out._edges = frozenset([(b, a) for a, b in pairs])
             out._by_firm, out._by_worker = other, view
         out._hash = hash(out._edges)
         return out

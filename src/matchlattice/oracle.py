@@ -141,24 +141,25 @@ def enumerate_matchings(
             kept[f], prefixes[f] = _kept_sets(m, f, reach)
     held = {f: frozenset() for f in m.firm_ids}
 
-    def rec(i: int, edges: list[tuple[AgentId, AgentId]]) -> Iterator[Matching]:
+    def rec(i: int) -> Iterator[Matching]:
         if i == len(workers):
             if all(held[f] in sets for f, sets in kept.items()):
-                yield Matching(edges)
+                yield Matching._from_view(held.items(), "firms")
             return
         w = workers[i]
         for fs in options[i]:
-            if ir_firms_only:
-                grown = [(f, held[f] | {w}) for f in fs]
-                if any(s not in prefixes[f] for f, s in grown):
-                    continue
-                held.update(grown)
-            yield from rec(i + 1, edges + [(f, w) for f in fs])
-            if ir_firms_only:
-                for f in fs:
-                    held[f] = held[f] - {w}
+            if not fs:  # no firm's set grows
+                yield from rec(i + 1)
+                continue
+            before = [(f, held[f]) for f in fs]
+            grown = [(f, s | {w}) for f, s in before]
+            if ir_firms_only and any(s not in prefixes[f] for f, s in grown):
+                continue
+            held.update(grown)
+            yield from rec(i + 1)
+            held.update(before)
 
-    yield from rec(0, [])
+    yield from rec(0)
 
 
 def enumerate_stable(m: Market, budget: EnumerationBudget | None = None) -> list[Matching]:
@@ -371,13 +372,7 @@ def _random_quota_linear(rng, ids, density, quota_max) -> QuotaLinearChoice:
 
 
 def _random_set_list(rng, ids, density, max_list_len, retry_cap) -> SetListChoice:
-    """Rejection-sample an order of subsets until the axioms hold.
-
-    A set list chooses through its listed ids alone, ``C(S) == C(S & L)``,
-    so the axioms hold over ``ids`` exactly when they hold over ``L``.  They
-    are checked over ``L``, which keeps the check within the validators' cap
-    however many ids there are.
-    """
+    """Rejection-sample an order of subsets until the axioms hold."""
     for _ in range(retry_cap):
         pool = _random_pool(rng, ids, density)
         if not pool:
@@ -390,9 +385,12 @@ def _random_set_list(rng, ids, density, max_list_len, retry_cap) -> SetListChoic
             if entry not in seen:
                 seen.add(entry)
                 entries.append(entry)
-        listed = SetListChoice(entries)
-        if validate_substitutable(listed).ok and validate_consistent(listed).ok:
-            return SetListChoice(entries, ground=ids)
+        choice = SetListChoice(entries, ground=ids)
+        # The validators search the listed ids only, so no cap on the
+        # number of ids is needed.
+        cap = len(ids)
+        if validate_substitutable(choice, cap).ok and validate_consistent(choice, cap).ok:
+            return choice
     raise GenerationFailed(f"no substitutable set list after {retry_cap} attempts")
 
 

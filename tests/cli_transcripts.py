@@ -8,7 +8,10 @@ JSON, and records each command line with its exit code, stdout and stderr.
 The stdout of ``verify-lattice <name>`` in text and JSON, which holds the
 oracle's join and meet tables, is kept as it is printed in
 ``tests/golden/verify_lattice_<name>.txt`` and ``.json``, so that the output
-of an installed console script can be diffed against it directly.
+of an installed console script can be diffed against it directly.  So is the
+stdout of ``validate`` on each example and on the hand-built market
+``tests/golden/nonsubstitutable_market.json``, whose violations name their
+witnesses, in ``tests/golden/validate_<name>.txt`` and ``.json``.
 
 Regenerate the goldens (only when an output change is intended) with
 
@@ -26,6 +29,9 @@ from matchlattice.cli import load_bundle, main
 
 GOLDEN = Path(__file__).parent / "golden"
 EXAMPLES = ("example1", "example2")
+# Markets whose ``validate`` output is kept; those outside EXAMPLES are read
+# from ``tests/golden/<name>_market.json`` and fail validation.
+VALIDATED = (*EXAMPLES, "nonsubstitutable")
 
 
 def golden_path(name: str) -> Path:
@@ -34,6 +40,10 @@ def golden_path(name: str) -> Path:
 
 def verify_lattice_path(name: str, fmt: str) -> Path:
     return GOLDEN / f"verify_lattice_{name}.{'json' if fmt == 'json' else 'txt'}"
+
+
+def validate_path(name: str, fmt: str) -> Path:
+    return GOLDEN / f"validate_{name}.{'json' if fmt == 'json' else 'txt'}"
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -76,8 +86,19 @@ def verify_lattice(name: str, fmt: str) -> str:
     return out
 
 
+def validate(name: str, fmt: str) -> str:
+    """The stdout of ``validate``: exit 0 on an example, 1 on a hand-built market."""
+    market = name if name in EXAMPLES else str(GOLDEN / f"{name}_market.json")
+    code, out, err = _run(["validate", market, "--format", fmt])
+    assert code == (0 if name in EXAMPLES else 1) and not err, (code, err)
+    return out
+
+
 if __name__ == "__main__":
-    for name in sys.argv[1:] or EXAMPLES:
-        golden_path(name).write_text(transcript(name))
+    for name in sys.argv[1:] or VALIDATED:
+        if name in EXAMPLES:
+            golden_path(name).write_text(transcript(name))
+            for fmt in ("text", "json"):
+                verify_lattice_path(name, fmt).write_text(verify_lattice(name, fmt))
         for fmt in ("text", "json"):
-            verify_lattice_path(name, fmt).write_text(verify_lattice(name, fmt))
+            validate_path(name, fmt).write_text(validate(name, fmt))

@@ -271,6 +271,35 @@ def test_verify_lattice_golden_transcripts(name, fmt):
     assert cli_transcripts.verify_lattice(name, fmt) == golden
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", cli_transcripts.VALIDATED)
+def test_validate_golden_transcripts(name, fmt):
+    """Verdicts and witnesses of ``validate``, byte for byte."""
+    assert cli_transcripts.validate(name, fmt) == cli_transcripts.validate_path(name, fmt).read_text()
+
+
+def test_validate_caps_count_the_ground_set(capsys):
+    """f1 lists 3 of the 5 workers and f3 none; the caps still count all 5."""
+    market = GOLDEN / "nonsubstitutable_market.json"
+    code, out, _ = run(capsys, "validate", market, "--pi-cap", "3")
+    assert code == 1
+    assert out == (
+        "validation: FAIL\n"
+        "  f1: substitutable violated (w4 chosen from {w2,w4} but dropped from {w4})\n"
+        "  w1: substitutable violated (f3 chosen from {f1,f3} but dropped from {f3})\n"
+        "  w1: path_independent violated (C(S u S') = {f2,f3} but C(C(S) u S') = {})\n"
+        "  note: f1: path independence skipped (ground set 5 > cap 3)\n"
+        "  note: f2: path independence skipped (ground set 5 > cap 3)\n"
+        "  note: f3: path independence skipped (ground set 5 > cap 3)\n"
+    )
+    code, out, _ = run(capsys, "validate", market, "--cap", "2", "--assume-substitutable")
+    assert code == 0
+    assert "  note: f3: axiom checks skipped on assumption (ground set 5 > cap 2)\n" in out
+    code, _, err = run(capsys, "validate", market, "--cap", "4")
+    assert code == 1
+    assert "substitutable: ground set has 5 elements, cap is 4" in err
+
+
 @pytest.mark.parametrize("variant", ["many_to_one", "many_to_many_responsive", "many_to_many_sub"])
 def test_empty_matching_walks_and_checks_at_40x40(capsys, tmp_path, variant):
     """Walks and quasi-checks from the empty matching answer past the default cap."""

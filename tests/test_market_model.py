@@ -1,6 +1,8 @@
 """Choice function semantics, axiom validators, market schema."""
 
 import copy
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -344,6 +346,95 @@ def test_example_choice_functions_brute_checked(example1, example2):
         for f in m.firm_ids:
             assert brute_substitutable(m.firm_choice(f)), f
             assert brute_consistent(m.firm_choice(f)), f
+
+
+# -- supports -----------------------------------------------------------------
+#
+# The validators search the subsets of a choice's support.  A wrapper that
+# chooses the same way but names no support makes them search the whole
+# ground set, which must give the same reports, witnesses included.
+
+WIDE = ["a", "b", "c", "d", "e", "f"]
+NONSUBSTITUTABLE = Path(__file__).parent / "golden" / "nonsubstitutable_market.json"
+
+
+class FullSearch(ChoiceFunction):
+    """Chooses like ``inner``, with the default support: the ground set."""
+
+    def __init__(self, inner):
+        super().__init__(inner.ground)
+        self.inner = inner
+
+    def _choose(self, s):
+        return self.inner.choose(s)
+
+
+@st.composite
+def narrow_choices(draw):
+    """Set lists (any entries, empty lists too) and quota-1..3 orders over part of WIDE."""
+    pool = draw(st.lists(st.sampled_from(WIDE), unique=True, max_size=5))
+    if pool and draw(st.booleans()):
+        entry = st.frozensets(st.sampled_from(pool), min_size=1)
+        return SetListChoice(draw(st.lists(entry, unique=True, max_size=5)), ground=WIDE)
+    return QuotaLinearChoice(pool, draw(st.integers(1, 3)), ground=WIDE)
+
+
+@given(narrow_choices(), st.sets(st.sampled_from(WIDE)))
+@settings(deadline=None, max_examples=300)
+def test_choice_picks_through_its_support(c, offered):
+    offered = frozenset(offered)
+    assert c.support <= c.ground
+    assert c.choose(offered) == c.choose(offered & c.support)
+    assert c.choose(offered) <= c.support
+
+
+@given(narrow_choices())
+@settings(deadline=None, max_examples=200)
+def test_validators_over_the_support_equal_the_full_search(c):
+    full = FullSearch(c)
+    assert full.support == c.ground
+    for validate in (validate_substitutable, validate_consistent, validate_path_independent):
+        assert validate(c).to_json() == validate(full).to_json()
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[["b", "d"], ["e"]], [["f", "b"], ["b"]], [["e", "c"], ["c", "a"], ["e"], ["c"]], [], [["d"], ["f"]]],
+)
+def test_set_list_witnesses_over_a_wide_ground(entries):
+    c = SetListChoice(entries, ground=WIDE)
+    validators = (validate_substitutable, validate_consistent, validate_path_independent)
+    reports = [validate(c) for validate in validators]
+    assert [r.to_json() for r in reports] == [validate(FullSearch(c)).to_json() for validate in validators]
+    assert reports[0].ok == brute_substitutable(c)
+    if not reports[0].ok:
+        assert reports[0].violation.offered <= c.support
+
+
+def test_choices_without_a_list_search_their_ground_set():
+    table = TableChoice(["a", "b"], {s: s for s in powerset(["a", "b"])})
+    assert table.support == table.ground
+    base = SetListChoice([["a"]], ground=["a", "b", "c"])
+    lifted = QExtensionChoice(base, ReplicaMap.build(["a", "b", "c"], {"a": 2, "b": 1, "c": 1}))
+    assert lifted.support == lifted.ground
+
+
+def test_market_choices_keep_their_support(example1):
+    m = Market.from_json(json.loads(NONSUBSTITUTABLE.read_text()))
+    assert m.firm_choice("f1").support == {"w2", "w4", "w5"} < m.firm_choice("f1").ground
+    assert m.firm_choice("f2").support == {"w2", "w4"}
+    assert m.firm_choice("f3").support == frozenset()
+    assert m.worker_choice("w1").support == {"f1", "f2", "f3"} == m.worker_choice("w1").ground
+    m1, _ = example1
+    for w in m1.worker_ids:
+        assert m1.worker_choice(w).support == set(m1.worker_pref(w).order)
+
+
+def test_max_list_length_is_the_longest_list(example1, example2):
+    for m in (example1[0], example2[0]):
+        choices = [*map(m.firm_choice, m.firm_ids), *map(m.worker_choice, m.worker_ids)]
+        assert m.max_list_length == max(c.list_length for c in choices)
+    assert FullSearch(SetListChoice([["a"]], ground=WIDE)).list_length == len(WIDE)
 
 
 # -- LinearPref ---------------------------------------------------------------
