@@ -129,7 +129,7 @@ def _cmd_stable_check(args) -> int:
         f"stable: {str(result['stable']).lower()}",
     ]
     if pairs:
-        lines.append("blocking pairs: " + ", ".join(f"({p.firm},{p.worker})" for p in pairs))
+        lines.append(_blocking_line(pairs))
     return _emit(args, result, "\n".join(lines))
 
 
@@ -153,9 +153,7 @@ def _cmd_join_meet(args) -> int:
             raise NotStable(f"{args.mu2} is not stable in this market")
     # The side's join is its own operator's walk; its meet is the other side's join.
     op_side = args.side if args.command == "join" else _other(args.side)
-    builder = tarski.lambda_join if op_side == "firms" else tarski.gamma_join
-    candidate = builder(m, a, b, check=False)
-    trace = tarski.iterate_to_fixed_point(m, candidate, op_side, check=False)
+    trace = tarski._join_trace(m, a, b, op_side)
     result = {
         "operation": args.command,
         "side": args.side,
@@ -235,17 +233,27 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _demo_example1(bundle) -> tuple[dict, str]:
+def _blocking_line(pairs) -> str:
+    return "blocking pairs: " + ", ".join(f"({p.firm},{p.worker})" for p in pairs)
+
+
+def _demo_opening(name: str):
+    """``(m, named, lam, lines)``: a bundled example, its named matchings and pooled firm choice.
+
+    ``lines`` opens the demo: the market, its validation, the two inputs and
+    the pooled firm choice up to whether it equals ``mu_boxed``.
+    """
+    bundle = load_bundle(name)
     m = Market.from_json(bundle["market"])
     named = {k: Matching.from_json(v) for k, v in bundle["matchings"].items()}
     for mu in named.values():
         mu.validate_for(m)
     under, over = named["mu_under"], named["mu_over"]
-    report = validate_market(m)
+    lam = tarski.lambda_join(m, under, over)
     lines = [
-        "== example1 ==",
+        f"== {name} ==",
         f"market: {m.variant} with {len(m.firm_ids)} firms, {len(m.worker_ids)} workers",
-        f"validation: {'pass' if report.ok else 'FAIL'}",
+        f"validation: {'pass' if validate_market(m).ok else 'FAIL'}",
         "",
         f"mu_under (stable: {_flag(is_stable(m, under))})",
         under.render(m),
@@ -253,15 +261,19 @@ def _demo_example1(bundle) -> tuple[dict, str]:
         over.render(m),
         "",
         "pooled firm choice (join candidate, firm order):",
-    ]
-    lam = tarski.lambda_join(m, under, over)
-    lines += [
         lam.render(m),
         f"equals mu_boxed: {_flag(lam == named['mu_boxed'])}",
+    ]
+    return m, named, lam, lines
+
+
+def _demo_example1(m: Market, named: dict, lam: Matching) -> tuple[dict, list[str]]:
+    under, over = named["mu_under"], named["mu_over"]
+    lines = [
         f"worker-quasi-stable: {_flag(is_worker_quasi_stable(m, lam))}"
         f" | firm-quasi-stable: {_flag(is_firm_quasi_stable(m, lam))}"
         f" | stable: {_flag(is_stable(m, lam))}",
-        "blocking pairs: " + ", ".join(f"({p.firm},{p.worker})" for p in blocking_pairs(m, lam)),
+        _blocking_line(blocking_pairs(m, lam)),
         "",
         "pooled worker choice (join candidate, worker order):",
     ]
@@ -272,7 +284,7 @@ def _demo_example1(bundle) -> tuple[dict, str]:
         f"firm-quasi-stable: {_flag(is_firm_quasi_stable(m, gam))}"
         f" | worker-quasi-stable: {_flag(is_worker_quasi_stable(m, gam))}"
         f" | stable: {_flag(is_stable(m, gam))}",
-        "blocking pairs: " + ", ".join(f"({p.firm},{p.worker})" for p in blocking_pairs(m, gam)),
+        _blocking_line(blocking_pairs(m, gam)),
         "",
     ]
     ftrace = tarski.iterate_to_fixed_point(m, lam, "firms")
@@ -307,50 +319,31 @@ def _demo_example1(bundle) -> tuple[dict, str]:
         "join_firms": join.to_json(),
         "meet_firms": meet.to_json(),
     }
-    return result, "\n".join(lines)
+    return result, lines
 
 
-def _demo_example2(bundle) -> tuple[dict, str]:
-    m = Market.from_json(bundle["market"])
-    named = {k: Matching.from_json(v) for k, v in bundle["matchings"].items()}
-    for mu in named.values():
-        mu.validate_for(m)
-    under, over = named["mu_under"], named["mu_over"]
-    report = validate_market(m)
-    lam = tarski.lambda_join(m, under, over)
+def _demo_example2(m: Market, named: dict, lam: Matching) -> tuple[dict, list[str]]:
     step1 = tarski.tarski_firm_step(m, lam)
     step2 = tarski.tarski_firm_step(m, step1)
     step3 = tarski.tarski_firm_step(m, step2)
-    join = tarski.stable_join_firms(m, under, over)
+    join = tarski.stable_join_firms(m, named["mu_under"], named["mu_over"])
     firm_opt = tarski.extremal_stable(m, "firms")
     lines = [
-        "== example2 ==",
-        f"market: {m.variant} with {len(m.firm_ids)} firms, {len(m.worker_ids)} workers",
-        f"validation: {'pass' if report.ok else 'FAIL'}",
-        "",
-        f"mu_under (stable: {_flag(is_stable(m, under))})",
-        under.render(m),
-        f"mu_over (stable: {_flag(is_stable(m, over))})",
-        over.render(m),
-        "",
-        "pooled firm choice (join candidate, firm order):",
-        lam.render(m),
-        f"equals mu_boxed: {_flag(lam == named['mu_boxed'])}",
         f"worker-quasi-stable: {_flag(is_worker_quasi_stable(m, lam))}"
         f" | stable: {_flag(is_stable(m, lam))}",
-        "blocking pairs: " + ", ".join(f"({p.firm},{p.worker})" for p in blocking_pairs(m, lam)),
+        _blocking_line(blocking_pairs(m, lam)),
         "",
         "first firm-side operator application:",
         step1.render(m),
         f"equals mu_circled: {_flag(step1 == named['mu_circled'])}"
         f" | stable: {_flag(is_stable(m, step1))}",
-        "blocking pairs: " + ", ".join(f"({p.firm},{p.worker})" for p in blocking_pairs(m, step1)),
+        _blocking_line(blocking_pairs(m, step1)),
         "",
         "second firm-side operator application:",
         step2.render(m),
         f"equals mu_star: {_flag(step2 == named['mu_star'])}"
         f" | stable: {_flag(is_stable(m, step2))}",
-        "blocking pairs: " + ", ".join(f"({p.firm},{p.worker})" for p in blocking_pairs(m, step2)),
+        _blocking_line(blocking_pairs(m, step2)),
         "",
         "third firm-side operator application:",
         step3.render(m),
@@ -368,16 +361,14 @@ def _demo_example2(bundle) -> tuple[dict, str]:
         "third_step": step3.to_json(),
         "join_firms": join.to_json(),
     }
-    return result, "\n".join(lines)
+    return result, lines
 
 
 def _cmd_demo(args) -> int:
-    bundle = load_bundle(args.name)
-    if args.name == "example2":
-        result, text = _demo_example2(bundle)
-    else:
-        result, text = _demo_example1(bundle)
-    return _emit(args, result, text)
+    m, named, lam, opening = _demo_opening(args.name)
+    rest = _demo_example2 if args.name == "example2" else _demo_example1
+    result, lines = rest(m, named, lam)
+    return _emit(args, result, "\n".join(opening + lines))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -415,6 +415,9 @@ class Market:
         lengths = [c.list_length for c in self._firm_choices.values()]
         lengths += [c.list_length for c in self._worker_choices.values()]
         self.max_list_length: int = max(lengths, default=1)
+        # Each id's position in id order, for the walks and the blocking-pair scan.
+        self._firm_index = {f: i for i, f in enumerate(self.firm_ids)}
+        self._worker_index = {w: i for i, w in enumerate(self.worker_ids)}
 
     def firm_choice(self, f: AgentId) -> ChoiceFunction:
         try:

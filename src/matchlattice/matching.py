@@ -32,24 +32,24 @@ class Matching:
     __slots__ = ("_edges", "_by_firm", "_by_worker", "_hash")
 
     def __init__(self, edges: Iterable[tuple[AgentId, AgentId]] = ()):
-        edge_set = frozenset(edges)
-        by_firm: dict[AgentId, set[AgentId]] = {}
-        by_worker: dict[AgentId, set[AgentId]] = {}
-        for f, w in edge_set:
-            by_firm.setdefault(f, set()).add(w)
-            by_worker.setdefault(w, set()).add(f)
-        self._edges = edge_set
-        self._by_firm = {f: frozenset(ws) for f, ws in by_firm.items()}
-        self._by_worker = {w: frozenset(fs) for w, fs in by_worker.items()}
-        self._hash = hash(edge_set)
+        rows: dict[AgentId, set[AgentId]] = {}
+        for f, w in edges:
+            rows.setdefault(f, set()).add(w)
+        self._set_views([(f, frozenset(ws)) for f, ws in rows.items()], "firms")
 
     @classmethod
     def _from_view(cls, rows: Iterable[tuple[AgentId, frozenset[AgentId]]], side: str) -> "Matching":
         """The matching whose ``side`` view is the ``(agent, frozenset)`` rows, one per agent.
 
         Empty rows are dropped, so the result equals the one built from its
-        edges; only the edge set and the other side's view are derived.
+        edges.
         """
+        out = cls.__new__(cls)
+        out._set_views(rows, side)
+        return out
+
+    def _set_views(self, rows: Iterable[tuple[AgentId, frozenset[AgentId]]], side: str) -> None:
+        """Take the ``side`` view from the rows; derive the edge set and the other view."""
         view: dict[AgentId, frozenset[AgentId]] = {}
         cols: dict[AgentId, list[AgentId]] = {}
         pairs = []
@@ -64,15 +64,13 @@ class Matching:
                     else:
                         col.append(a)
         other = {b: frozenset(v) for b, v in cols.items()}
-        out = cls.__new__(cls)
         if side == "firms":
-            out._edges = frozenset(pairs)
-            out._by_firm, out._by_worker = view, other
+            self._edges = frozenset(pairs)
+            self._by_firm, self._by_worker = view, other
         else:
-            out._edges = frozenset([(b, a) for a, b in pairs])
-            out._by_firm, out._by_worker = other, view
-        out._hash = hash(out._edges)
-        return out
+            self._edges = frozenset([(b, a) for a, b in pairs])
+            self._by_firm, self._by_worker = other, view
+        self._hash = hash(self._edges)
 
     @staticmethod
     def empty() -> "Matching":
@@ -219,16 +217,18 @@ def blocking_pair_reason(m: Market, mu: Matching, f: AgentId, w: AgentId) -> str
 def _worker_takes_on(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
     """Firms ``f`` whose W-set holds ``w``: ``f in C_w(mu(w) | {f})``.
 
-    A many-to-one worker holding an unacceptable firm keeps the linear
+    A many-to-one worker holding a firm outside her choice's support, one
+    she finds unacceptable or one outside the market, keeps the linear
     order's natural-id tie-break below the empty option.
     """
-    held = mu.of_worker(w)
+    c = m.worker_choice(w)
+    held = mu._by_worker.get(w, EMPTY)
     if held and m.variant == "many_to_one":
         current = mu.firm_of(w)
-        pref = m.worker_pref(w)
-        if not pref.is_acceptable(current):
+        if current not in c.support:
+            pref = m.worker_pref(w)
             return frozenset(f for f in m.firm_ids if pref.weakly_prefers(f, current))
-    return m.worker_choice(w).accepting(held)
+    return c.accepting(held)
 
 
 def _worker_block_clause(m: Market, mu: Matching, w: AgentId):
@@ -253,7 +253,7 @@ def _blocking_pairs(m: Market, mu: Matching) -> Iterator[BlockingPair]:
     One ``accepting`` call per firm gives the workers it would add; each
     worker's side is computed the first time a firm reaches it.
     """
-    position = {w: i for i, w in enumerate(m.worker_ids)}.__getitem__
+    position = m._worker_index.__getitem__
     clauses: dict[AgentId, tuple] = {}
     choices, view, _ = _agents(m, mu, "firms")
     for f, c in choices.items():

@@ -3,8 +3,12 @@
 Everything here is deliberately independent of the operator machinery: joins
 and meets are found by scanning an enumerated universe against the order
 predicates, so agreement between this module and :mod:`matchlattice.tarski`
-is a real check rather than a tautology.  Of the market it asks nothing but
-``choose`` and the workers' quotas.
+is a real check rather than a tautology.  The enumeration asks the market
+for nothing but ``choose`` and the workers' quotas.  The filters on what it
+yields do not: the stable set is tested with ``has_blocking_pair`` and the
+quasi-stable sets with the quasi-stability holdings check, both from
+:mod:`matchlattice.matching`, and both call the choices' ``accepting``
+kernels.
 
 The stable and quasi-stable sets are searched among individually rational
 matchings only, which every one of their predicates requires.  Workers are
@@ -25,6 +29,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, GenerationFailed, SchemaError
 from .market import (
+    VARIANTS,
     AgentId,
     LinearPref,
     Market,
@@ -41,7 +46,6 @@ from .matching import (
     blair_geq_workers,
     has_blocking_pair,
     unanimous_geq_workers,
-    worker_order_geq,
 )
 from . import tarski
 
@@ -195,19 +199,21 @@ def enumerate_quasi_stable(
     ]
 
 
-ORDER_TAGS = ("blair_firms", "blair_workers", "unanimous_workers", "worker")
-
-
 def order_geq(m: Market, tag: str, a: Matching, b: Matching) -> bool:
+    """``a`` at or above ``b`` in the order ``tag`` names; ``"worker"`` is the workers' Blair order."""
     if tag == "blair_firms":
         return blair_geq_firms(m, a, b)
-    if tag == "blair_workers":
+    if tag in ("blair_workers", "worker"):
         return blair_geq_workers(m, a, b)
     if tag == "unanimous_workers":
         return unanimous_geq_workers(m, a, b)
-    if tag == "worker":
-        return worker_order_geq(m, a, b)
     raise ValueError(f"unknown order tag {tag!r}")
+
+
+def _least_upper_bound(geq, mu: Matching, mu2: Matching, universe: Sequence[Matching]) -> Matching | None:
+    uppers = [t for t in universe if geq(t, mu) and geq(t, mu2)]
+    least = [u for u in uppers if all(geq(t, u) for t in uppers)]
+    return least[0] if len(least) == 1 else None
 
 
 def brute_join(
@@ -222,11 +228,7 @@ def brute_join(
     Returns None rather than raising so that non-lattice universes can be
     probed diagnostically.
     """
-    uppers = [t for t in universe if order_geq(m, tag, t, mu) and order_geq(m, tag, t, mu2)]
-    least = [u for u in uppers if all(order_geq(m, tag, t, u) for t in uppers)]
-    if len(least) == 1:
-        return least[0]
-    return None
+    return _least_upper_bound(lambda a, b: order_geq(m, tag, a, b), mu, mu2, universe)
 
 
 def brute_meet(
@@ -236,11 +238,8 @@ def brute_meet(
     mu2: Matching,
     universe: Sequence[Matching],
 ) -> Matching | None:
-    lowers = [t for t in universe if order_geq(m, tag, mu, t) and order_geq(m, tag, mu2, t)]
-    greatest = [u for u in lowers if all(order_geq(m, tag, u, t) for t in lowers)]
-    if len(greatest) == 1:
-        return greatest[0]
-    return None
+    """Greatest lower bound of the pair within ``universe``, or None: the reversed order's join."""
+    return _least_upper_bound(lambda a, b: order_geq(m, tag, b, a), mu, mu2, universe)
 
 
 @dataclass
@@ -396,36 +395,25 @@ def _random_set_list(rng, ids, density, max_list_len, retry_cap) -> SetListChoic
 
 def random_market(seed: int, spec: RandomMarketSpec) -> Market:
     """A market drawn deterministically from the seed, valid by construction."""
+    if spec.variant not in VARIANTS:
+        raise SchemaError(f"unknown variant {spec.variant!r}")
     rng = random.Random(seed)
     firm_ids = [f"f{i + 1}" for i in range(spec.n_firms)]
     worker_ids = [f"w{i + 1}" for i in range(spec.n_workers)]
 
-    def firm_choice(i: int):
-        kind = spec.firm_kind
+    def choice(ids: list[AgentId], kind: str, quota_max: int):
         if kind == "mixed":
             kind = "set_list" if rng.random() < 0.5 else "quota_linear"
         if kind == "set_list":
-            return _random_set_list(rng, worker_ids, spec.density, spec.max_list_len, spec.retry_cap)
-        return _random_quota_linear(rng, worker_ids, spec.density, spec.firm_quota_max)
+            return _random_set_list(rng, ids, spec.density, spec.max_list_len, spec.retry_cap)
+        return _random_quota_linear(rng, ids, spec.density, quota_max)
 
-    firms = {f: firm_choice(i) for i, f in enumerate(firm_ids)}
-
-    if spec.variant == "many_to_one":
-        prefs = {w: LinearPref(_random_pool(rng, firm_ids, spec.density)) for w in worker_ids}
-        return Market("many_to_one", firms, worker_prefs=prefs)
-    if spec.variant == "many_to_many_responsive":
-        prefs = {w: LinearPref(_random_pool(rng, firm_ids, spec.density)) for w in worker_ids}
-        quotas = {w: rng.randint(1, spec.worker_quota_max) for w in worker_ids}
-        return Market("many_to_many_responsive", firms, worker_prefs=prefs, worker_quotas=quotas)
+    firms = {f: choice(worker_ids, spec.firm_kind, spec.firm_quota_max) for f in firm_ids}
     if spec.variant == "many_to_many_sub":
-        def worker_choice(i: int):
-            kind = spec.worker_kind
-            if kind == "mixed":
-                kind = "set_list" if rng.random() < 0.5 else "quota_linear"
-            if kind == "set_list":
-                return _random_set_list(rng, firm_ids, spec.density, spec.max_list_len, spec.retry_cap)
-            return _random_quota_linear(rng, firm_ids, spec.density, spec.worker_quota_max)
-
-        choices = {w: worker_choice(i) for i, w in enumerate(worker_ids)}
+        choices = {w: choice(firm_ids, spec.worker_kind, spec.worker_quota_max) for w in worker_ids}
         return Market("many_to_many_sub", firms, worker_choices=choices)
-    raise SchemaError(f"unknown variant {spec.variant!r}")
+    prefs = {w: LinearPref(_random_pool(rng, firm_ids, spec.density)) for w in worker_ids}
+    if spec.variant == "many_to_one":
+        return Market("many_to_one", firms, worker_prefs=prefs)
+    quotas = {w: rng.randint(1, spec.worker_quota_max) for w in worker_ids}
+    return Market("many_to_many_responsive", firms, worker_prefs=prefs, worker_quotas=quotas)

@@ -211,7 +211,7 @@ def lifted_meet_workers(rm: RelatedMarket, nu: Matching, nu2: Matching) -> Match
     return lifted_join_firms(rm, nu, nu2)
 
 
-def as_set_list(c: ChoiceFunction, cap: int = SUBSET_CAP) -> SetListChoice:
+def as_set_list(c: ChoiceFunction) -> SetListChoice:
     """Materialise any path-independent choice function as a set list.
 
     Collects the image of the choice function and orders it so that a set
@@ -220,8 +220,8 @@ def as_set_list(c: ChoiceFunction, cap: int = SUBSET_CAP) -> SetListChoice:
     lazily evaluated choices can be emitted in the market JSON schema.
     """
     items = tuple(sort_agents(c.ground))
-    if len(items) > cap:
-        raise CapExceeded(f"cannot materialise over {len(items)} elements (cap {cap})")
+    if len(items) > SUBSET_CAP:
+        raise CapExceeded(f"cannot materialise over {len(items)} elements (cap {SUBSET_CAP})")
     image = set()
     subsets = []
     for r in range(len(items) + 1):
@@ -251,17 +251,7 @@ def as_set_list(c: ChoiceFunction, cap: int = SUBSET_CAP) -> SetListChoice:
     return out
 
 
-def related_market_to_json(rm: RelatedMarket, cap: int = SUBSET_CAP) -> dict:
+def related_market_to_json(rm: RelatedMarket) -> dict:
     """The related market in the standard schema (set lists for firm choices)."""
-    firms = {
-        f: {
-            "kind": "set_list",
-            "list": [sort_agents(x) for x in as_set_list(rm.market.firm_choice(f), cap).subsets],
-        }
-        for f in rm.market.firm_ids
-    }
-    workers = {
-        r: {"kind": "linear", "order": list(rm.market.worker_pref(r).order)}
-        for r in rm.market.worker_ids
-    }
-    return {"variant": "many_to_one", "firms": firms, "workers": workers}
+    firms = {f: as_set_list(rm.market.firm_choice(f)) for f in rm.market.firm_ids}
+    return Market("many_to_one", firms, worker_prefs=rm.market.worker_prefs).to_json()

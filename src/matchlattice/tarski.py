@@ -126,8 +126,7 @@ class _Walk:
     def __init__(self, m: Market, side: str):
         self.m, self.side = m, side
         self.last: Matching | None = None
-        firms = {f: i for i, f in enumerate(m.firm_ids)}
-        workers = {w: i for i, w in enumerate(m.worker_ids)}
+        firms, workers = m._firm_index, m._worker_index
         self.position, self.other_position = (firms, workers) if side == "firms" else (workers, firms)
 
     def _refresh(self, mu: Matching):
@@ -344,20 +343,28 @@ def _require_stable(m: Market, mu: Matching, mu2: Matching) -> None:
         raise NotStable("second argument is not stable")
 
 
+def _join_trace(m: Market, mu: Matching, mu2: Matching, side: str) -> OperatorTrace:
+    """``side``'s operator walk from the pooled candidate of two stable matchings.
+
+    It ends on their join in ``side``'s order: the firm order for
+    ``"firms"``, the worker order (the firm-order meet) for ``"workers"``.
+    """
+    candidate = (lambda_join if side == "firms" else gamma_join)(m, mu, mu2, check=False)
+    return iterate_to_fixed_point(m, candidate, side, check=False)
+
+
 def stable_join_firms(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Matching:
     """Least upper bound of two stable matchings in the firm order."""
     if check:
         _require_stable(m, mu, mu2)
-    candidate = lambda_join(m, mu, mu2, check=False)
-    return iterate_to_fixed_point(m, candidate, "firms", check=False).final
+    return _join_trace(m, mu, mu2, "firms").final
 
 
 def stable_meet_firms(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Matching:
     """Greatest lower bound in the firm order (= the worker-order join)."""
     if check:
         _require_stable(m, mu, mu2)
-    candidate = gamma_join(m, mu, mu2, check=False)
-    return iterate_to_fixed_point(m, candidate, "workers", check=False).final
+    return _join_trace(m, mu, mu2, "workers").final
 
 
 def stable_join_workers(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Matching:

@@ -1,17 +1,25 @@
-"""CLI transcripts of the predicate, walk and lattice commands on the bundled examples.
+"""CLI transcripts and outputs on the bundled examples and the hand-built markets.
 
 For every named matching of an example, a transcript runs ``stable-check``,
 ``quasi-check`` (default cap, ``--cap 1``, ``--assume-substitutable``) and
 ``iterate --trace`` (plain and ``--no-check``) on both sides, in text and
 JSON, and records each command line with its exit code, stdout and stderr.
 ``tests/test_cli.py`` diffs them against ``tests/golden/predicates_<name>.txt``.
-The stdout of ``verify-lattice <name>`` in text and JSON, which holds the
-oracle's join and meet tables, is kept as it is printed in
-``tests/golden/verify_lattice_<name>.txt`` and ``.json``, so that the output
-of an installed console script can be diffed against it directly.  So is the
-stdout of ``validate`` on each example and on the hand-built market
-``tests/golden/nonsubstitutable_market.json``, whose violations name their
-witnesses, in ``tests/golden/validate_<name>.txt`` and ``.json``.
+A second transcript runs ``join`` and ``meet`` on ``mu_under`` and
+``mu_over`` on both sides with ``--trace --format json``; it is kept in
+``tests/golden/join_meet_<name>.txt``.
+
+The stdout of single commands is kept as it is printed, in
+``tests/golden/<command>_<name>.txt`` and ``.json``, so that the output of
+an installed console script can be diffed against it directly:
+
+* ``demo`` and ``verify-lattice`` (the oracle's join and meet tables) on
+  each example;
+* ``validate`` on each example and on the hand-built market
+  ``tests/golden/nonsubstitutable_market.json``, whose violations name their
+  witnesses;
+* ``replica build`` on ``tests/golden/responsive_market.json``, drawn once
+  as ``random_market(2, RandomMarketSpec("many_to_many_responsive", 3, 4))``.
 
 Regenerate the goldens (only when an output change is intended) with
 
@@ -29,6 +37,7 @@ from matchlattice.cli import load_bundle, main
 
 GOLDEN = Path(__file__).parent / "golden"
 EXAMPLES = ("example1", "example2")
+FORMATS = ("text", "json")
 # Markets whose ``validate`` output is kept; those outside EXAMPLES are read
 # from ``tests/golden/<name>_market.json`` and fail validation.
 VALIDATED = (*EXAMPLES, "nonsubstitutable")
@@ -38,12 +47,13 @@ def golden_path(name: str) -> Path:
     return GOLDEN / f"predicates_{name}.txt"
 
 
-def verify_lattice_path(name: str, fmt: str) -> Path:
-    return GOLDEN / f"verify_lattice_{name}.{'json' if fmt == 'json' else 'txt'}"
+def join_meet_path(name: str) -> Path:
+    return GOLDEN / f"join_meet_{name}.txt"
 
 
-def validate_path(name: str, fmt: str) -> Path:
-    return GOLDEN / f"validate_{name}.{'json' if fmt == 'json' else 'txt'}"
+def output_path(command: str, name: str, fmt: str) -> Path:
+    """Where the stdout of ``command`` on ``name`` in format ``fmt`` is kept."""
+    return GOLDEN / f"{command.replace('-', '_')}_{name}.{'json' if fmt == 'json' else 'txt'}"
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -53,7 +63,14 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _commands(name: str, matching: str):
+def _stdout(argv: list[str], code: int = 0) -> str:
+    """The stdout of a command that must exit with ``code`` and print no error."""
+    got, out, err = _run(argv)
+    assert got == code and not err, (argv, got, err)
+    return out
+
+
+def _commands(name: str, matching: Path):
     yield ["stable-check", name, matching]
     for side in ("firms", "workers"):
         for extra in ([], ["--cap", "1"], ["--assume-substitutable"]):
@@ -62,43 +79,77 @@ def _commands(name: str, matching: str):
             yield ["iterate", name, matching, "--side", side, "--trace", *extra]
 
 
-def transcript(name: str) -> str:
+def _transcribe(name: str, commands) -> str:
+    """Run ``commands(paths)`` with the example's matchings written to files.
+
+    ``paths`` maps each matching's label to its file; a command line is
+    shown with file names in place of paths.
+    """
     chunks = []
     with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
         for label, mu in load_bundle(name)["matchings"].items():
-            path = Path(tmp) / f"{label}.json"
-            path.write_text(json.dumps(mu))
-            for argv in _commands(name, str(path)):
-                for fmt in ("text", "json"):
-                    code, out, err = _run([*argv, "--format", fmt])
-                    shown = " ".join([*argv, "--format", fmt]).replace(str(path), path.name)
-                    chunks.append(
-                        f"$ matchlattice {shown}\n[exit {code}]\n{out}"
-                        + (f"[stderr]\n{err}" if err else "")
-                    )
+            paths[label] = Path(tmp) / f"{label}.json"
+            paths[label].write_text(json.dumps(mu))
+        for argv in commands(paths):
+            code, out, err = _run([str(a) for a in argv])
+            shown = " ".join(a.name if isinstance(a, Path) else a for a in argv)
+            chunks.append(
+                f"$ matchlattice {shown}\n[exit {code}]\n{out}" + (f"[stderr]\n{err}" if err else "")
+            )
     return "\n".join(chunks)
+
+
+def transcript(name: str) -> str:
+    def commands(paths):
+        for path in paths.values():
+            for argv in _commands(name, path):
+                for fmt in FORMATS:
+                    yield [*argv, "--format", fmt]
+
+    return _transcribe(name, commands)
+
+
+def join_meet(name: str) -> str:
+    def commands(paths):
+        for op in ("join", "meet"):
+            for side in ("firms", "workers"):
+                yield [op, name, paths["mu_under"], paths["mu_over"], "--side", side, "--trace",
+                       "--format", "json"]
+
+    return _transcribe(name, commands)
 
 
 def verify_lattice(name: str, fmt: str) -> str:
     """The stdout of ``verify-lattice``, which must exit 0 on a bundled example."""
-    code, out, err = _run(["verify-lattice", name, "--format", fmt])
-    assert code == 0 and not err, (code, err)
-    return out
+    return _stdout(["verify-lattice", name, "--format", fmt])
 
 
 def validate(name: str, fmt: str) -> str:
     """The stdout of ``validate``: exit 0 on an example, 1 on a hand-built market."""
     market = name if name in EXAMPLES else str(GOLDEN / f"{name}_market.json")
-    code, out, err = _run(["validate", market, "--format", fmt])
-    assert code == (0 if name in EXAMPLES else 1) and not err, (code, err)
-    return out
+    return _stdout(["validate", market, "--format", fmt], 0 if name in EXAMPLES else 1)
+
+
+def demo(name: str, fmt: str) -> str:
+    return _stdout(["demo", name, "--format", fmt])
+
+
+def replica_build(fmt: str) -> str:
+    """The stdout of ``replica build`` on the hand-built responsive market."""
+    return _stdout(["replica", "build", str(GOLDEN / "responsive_market.json"), "--format", fmt])
 
 
 if __name__ == "__main__":
-    for name in sys.argv[1:] or VALIDATED:
+    for name in sys.argv[1:] or (*VALIDATED, "responsive"):
+        for fmt in FORMATS:
+            if name in EXAMPLES:
+                output_path("verify-lattice", name, fmt).write_text(verify_lattice(name, fmt))
+                output_path("demo", name, fmt).write_text(demo(name, fmt))
+            if name in VALIDATED:
+                output_path("validate", name, fmt).write_text(validate(name, fmt))
+            if name == "responsive":
+                output_path("replica-build", name, fmt).write_text(replica_build(fmt))
         if name in EXAMPLES:
             golden_path(name).write_text(transcript(name))
-            for fmt in ("text", "json"):
-                verify_lattice_path(name, fmt).write_text(verify_lattice(name, fmt))
-        for fmt in ("text", "json"):
-            validate_path(name, fmt).write_text(validate(name, fmt))
+            join_meet_path(name).write_text(join_meet(name))

@@ -244,6 +244,12 @@ def test_malformed_ids_and_fields_are_schema_errors(capsys, tmp_path, market_pat
     assert code == 1 and json.loads(out)["error"]["type"] == "SchemaError"
 
 
+def test_unknown_random_variant_is_a_schema_error(capsys):
+    code, out, _ = run(capsys, "validate", "random:bogus:5x5", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "SchemaError", "message": "unknown variant 'bogus'"}
+
+
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
@@ -263,11 +269,31 @@ def test_predicate_golden_transcripts(name):
     assert cli_transcripts.transcript(name) == cli_transcripts.golden_path(name).read_text()
 
 
+@pytest.mark.parametrize("name", cli_transcripts.EXAMPLES)
+def test_demo_json_golden_transcripts(name):
+    """Every matching the demo computes, as JSON."""
+    golden = cli_transcripts.output_path("demo", name, "json").read_text()
+    assert cli_transcripts.demo(name, "json") == golden
+
+
+@pytest.mark.parametrize("name", cli_transcripts.EXAMPLES)
+def test_join_meet_golden_transcripts(name):
+    """join and meet of mu_under and mu_over on both sides, with their traces."""
+    assert cli_transcripts.join_meet(name) == cli_transcripts.join_meet_path(name).read_text()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_replica_build_golden_transcripts(fmt):
+    """The related market of a responsive market, in the market schema."""
+    golden = cli_transcripts.output_path("replica-build", "responsive", fmt).read_text()
+    assert cli_transcripts.replica_build(fmt) == golden
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("name", cli_transcripts.EXAMPLES)
 def test_verify_lattice_golden_transcripts(name, fmt):
     """The oracle's stable counts and join/meet tables, byte for byte."""
-    golden = cli_transcripts.verify_lattice_path(name, fmt).read_text()
+    golden = cli_transcripts.output_path("verify-lattice", name, fmt).read_text()
     assert cli_transcripts.verify_lattice(name, fmt) == golden
 
 
@@ -275,7 +301,8 @@ def test_verify_lattice_golden_transcripts(name, fmt):
 @pytest.mark.parametrize("name", cli_transcripts.VALIDATED)
 def test_validate_golden_transcripts(name, fmt):
     """Verdicts and witnesses of ``validate``, byte for byte."""
-    assert cli_transcripts.validate(name, fmt) == cli_transcripts.validate_path(name, fmt).read_text()
+    golden = cli_transcripts.output_path("validate", name, fmt).read_text()
+    assert cli_transcripts.validate(name, fmt) == golden
 
 
 def test_validate_caps_count_the_ground_set(capsys):

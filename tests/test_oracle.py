@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,10 @@ from matchlattice import (
     Matching,
     QuotaLinearChoice,
     RandomMarketSpec,
+    SchemaError,
     SetListChoice,
+    blair_geq_firms,
+    blair_geq_workers,
     brute_join,
     brute_meet,
     enumerate_matchings,
@@ -28,12 +32,16 @@ from matchlattice import (
     lambda_join,
     random_market,
     stable_join_firms,
+    unanimous_geq_workers,
     validate_market,
     validate_substitutable,
     verify_lattice,
+    worker_order_geq,
 )
 from matchlattice.market import SUBSET_CAP, ChoiceFunction
 from matchlattice.oracle import count_matchings
+
+from conftest import bundle_market
 
 VARIANTS = ("many_to_one", "many_to_many_responsive", "many_to_many_sub")
 FIRM_KINDS = ("quota_linear", "set_list", "mixed")
@@ -169,6 +177,73 @@ def test_brute_join_returns_none_without_least_upper_bound():
     universe = [a, b]  # no common upper bound inside the universe
     assert brute_join(m, "blair_firms", a, b, universe) is None
 
+    # A bowtie in the firm order: two incomparable upper bounds and two
+    # incomparable lower bounds, so neither the join nor the meet exists.
+    m = Market(
+        "many_to_many_sub",
+        {f: QuotaLinearChoice(["w1", "w2", "w3"], 1) for f in ("f1", "f2")},
+        worker_choices={w: QuotaLinearChoice(["f1", "f2"], 2) for w in ("w1", "w2", "w3")},
+    )
+    a = Matching([("f1", "w2"), ("f2", "w3")])
+    b = Matching([("f1", "w3"), ("f2", "w2")])
+    uppers = [Matching([("f1", "w1"), ("f2", "w2")]), Matching([("f1", "w2"), ("f2", "w1")])]
+    lowers = [Matching([("f1", "w3")]), Matching([("f2", "w3")])]
+    universe = [a, b, *uppers, *lowers]
+    for t in uppers:
+        assert blair_geq_firms(m, t, a) and blair_geq_firms(m, t, b)
+    for t in lowers:
+        assert blair_geq_firms(m, a, t) and blair_geq_firms(m, b, t)
+    for x, y in (uppers, lowers):
+        assert not blair_geq_firms(m, x, y) and not blair_geq_firms(m, y, x)
+    assert brute_join(m, "blair_firms", a, b, universe) is None
+    assert brute_meet(m, "blair_firms", a, b, universe) is None
+
+
+# Each order tag and the predicate it names.
+ORDERS = {
+    "blair_firms": blair_geq_firms,
+    "blair_workers": blair_geq_workers,
+    "worker": worker_order_geq,
+    "unanimous_workers": unanimous_geq_workers,
+}
+
+
+@cache
+def desk_stable_set(variant):
+    """``(market, stable set)``: example1 as itself and with quota-1 responsive workers, and example2."""
+    if variant == "many_to_many_sub":
+        m = bundle_market("example2")[0]
+        return m, enumerate_stable(m, EnumerationBudget(max_firms=7, max_workers=10))
+    m = bundle_market("example1")[0]
+    if variant == "many_to_many_responsive":
+        firms = {f: m.firm_choice(f) for f in m.firm_ids}
+        m = Market(variant, firms, worker_prefs=m.worker_prefs, worker_quotas=dict.fromkeys(m.worker_ids, 1))
+    return m, enumerate_stable(m)
+
+
+def bound_by_definition(geq, a, b, universe):
+    """The member of ``universe`` at or above ``a`` and ``b`` and at or below every other such member."""
+    above = {t for t in universe if geq(t, a) and geq(t, b)}
+    least = [u for u in above if all(geq(t, u) for t in above)]
+    return least[0] if len(least) == 1 else None
+
+
+@pytest.mark.parametrize(
+    "variant, tag",
+    [(v, t) for v in VARIANTS for t in ORDERS if t != "unanimous_workers" or v == "many_to_one"],
+)
+def test_brute_bounds_follow_each_order_tag(variant, tag):
+    m, stable = desk_stable_set(variant)
+    assert len(stable) > 1
+    geq = ORDERS[tag]
+    for a in stable:
+        for b in stable:
+            join = brute_join(m, tag, a, b, stable)
+            meet = brute_meet(m, tag, a, b, stable)
+            assert join == bound_by_definition(lambda x, y: geq(m, x, y), a, b, stable)
+            assert meet == bound_by_definition(lambda x, y: geq(m, y, x), a, b, stable)
+            assert join is not None and meet is not None  # the stable set is a lattice
+
 
 def test_verify_lattice_example1(example1):
     m, _ = example1
@@ -270,6 +345,34 @@ def test_set_list_generator_draws_the_same_markets():
     ]
     digest = hashlib.sha256(json.dumps(draws, sort_keys=True).encode()).hexdigest()
     assert digest == "fba2e80f8559af3de88bb7981cab18db25eb2ab11f93a7317d5230b37b2935a8"
+
+
+def test_generator_draws_the_same_markets_across_kinds_and_quotas():
+    # sha256 of the JSON of these draws, pinned: firm and worker kinds that
+    # differ and quota maxima off their defaults keep every market drawn.
+    draws = [
+        random_market(
+            seed,
+            RandomMarketSpec(variant, n, n + 1, density=0.7, firm_quota_max=3, worker_quota_max=4,
+                             firm_kind=firm_kind, worker_kind=worker_kind),
+        ).to_json()
+        for variant in VARIANTS
+        for firm_kind in FIRM_KINDS
+        for worker_kind in FIRM_KINDS
+        if firm_kind != worker_kind
+        for n in (2, 4, 5)
+        for seed in range(3)
+    ]
+    digest = hashlib.sha256(json.dumps(draws, sort_keys=True).encode()).hexdigest()
+    assert digest == "34c1ec3c010b913d712d386793c5c441527eb4c3c7feafe10673d0c5bed204a8"
+
+
+def test_unknown_variant_is_refused_before_drawing():
+    # With no retries a set-list draw fails, so a draw made before the
+    # variant check would raise GenerationFailed instead.
+    spec = RandomMarketSpec("bogus", 2, 3, firm_kind="set_list", retry_cap=0)
+    with pytest.raises(SchemaError, match=r"^unknown variant 'bogus'$"):
+        random_market(0, spec)
 
 
 @pytest.mark.parametrize("kind", ["set_list", "mixed"])

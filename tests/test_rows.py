@@ -1,9 +1,9 @@
 """Matchings built from one side's rows equal matchings built from their edges,
 and the side tables the hot paths iterate are in id order.
 
-The operators build each result from the rows they chose, and those views
-come out in id order where an edge-built view is in hash order; nothing
-observable may tell the two apart.
+The operators build each result from the rows they chose, and a matching
+built from edges groups them into firm rows first, so the two views may
+iterate in different orders; nothing observable may tell the two apart.
 """
 
 import pytest
