@@ -4,19 +4,30 @@ Everything here is deliberately independent of the operator machinery: joins
 and meets are found by scanning an enumerated universe against the order
 predicates, so agreement between this module and :mod:`matchlattice.tarski`
 is a real check rather than a tautology.  The enumeration asks the market
-for nothing but ``choose`` and the workers' quotas.  The filters on what it
-yields do not: the stable set is tested with ``has_blocking_pair`` and the
-quasi-stable sets with the quasi-stability holdings check, both from
-:mod:`matchlattice.matching`, and both call the choices' ``accepting``
-kernels.
+for nothing but ``choose`` and the workers' quotas.  The stability and
+quasi-stability tests do not: they call the choices' ``accepting`` kernels,
+the stable set's directly and the quasi-stable sets' through the holdings
+check of :mod:`matchlattice.matching`.
 
 The stable and quasi-stable sets are searched among individually rational
 matchings only, which every one of their predicates requires.  Workers are
 filtered per option.  Each firm lists the sets it keeps whole by asking
 ``choose`` once on every set of the workers that could join it; a partial
 matching is extended only while every firm's set is a prefix, in worker
-order, of one of its kept sets.  That filter is exact by definition, so it
-holds whatever a firm's choice does.
+order, of one of its kept sets, and a firm's set is tested against them
+once it is final.  That filter is exact by definition, so it holds whatever
+a firm's choice does.
+
+Workers are placed in id order, so a worker's holding is final once the
+worker is placed, and a firm's once the last worker whose options name it
+is placed.
+The stable set is decided inside the search, pair by pair: ``(f, w)`` is
+tested at the later of the two depths, with one ``accepting`` call per
+final firm and per worker option, and a blocking pair cuts the subtree
+below it.  Stability is pairwise, so this too holds whatever the choices
+do; a ``Matching`` is built only for the stable leaves.  The quasi-stable
+sets are still tested at the leaves, since a willing set depends on every
+holding of the other side.
 """
 
 from __future__ import annotations
@@ -39,12 +50,12 @@ from .market import (
     validate_substitutable,
 )
 from .matching import (
+    EMPTY,
     Matching,
     _holdings_survive,
     _require_side,
     blair_geq_firms,
     blair_geq_workers,
-    has_blocking_pair,
     unanimous_geq_workers,
 )
 from . import tarski
@@ -102,6 +113,8 @@ def enumerate_matchings(
     budget: EnumerationBudget | None = None,
     ir_workers_only: bool = False,
     ir_firms_only: bool = False,
+    *,
+    stable_only: bool = False,
 ) -> Iterator[Matching]:
     """Every variant-valid matching exactly once, deterministically ordered.
 
@@ -113,10 +126,22 @@ def enumerate_matchings(
     assignment, ``C_f(mu(f)) == mu(f)``, in the same order.  Each firm asks
     ``choose`` once on every set of the workers whose options name it, and
     a worker joins it only if the firm's set stays a prefix, in worker
-    order, of one it keeps; a complete matching is yielded only if every
-    firm keeps its set.  The budget counts the matchings before this filter;
-    it refuses as soon as the workers listed so far allow more.
+    order, of one it keeps.  A firm's set is final once the last worker
+    whose options name it is placed (before the search, if none does); it
+    is tested there against the sets the firm keeps.
+
+    ``stable_only`` implies both filters and yields the stable matchings
+    alone, in the same order.  Every pair ``(f, w)`` is decided at the
+    depth where both holdings are final: it blocks when ``w`` is not in
+    f's set, ``w`` is in f's ``accepting`` set and ``f`` is in the
+    ``accepting`` set of w's option.  A blocking pair cuts the subtree
+    below it.
+
+    The budget counts the matchings before any filter; it refuses as soon
+    as the workers listed so far allow more.
     """
+    if stable_only:
+        ir_workers_only = ir_firms_only = True
     budget = budget or DEFAULT_BUDGET
     if len(m.firm_ids) > budget.max_firms or len(m.worker_ids) > budget.max_workers:
         raise BudgetExceeded(
@@ -138,48 +163,86 @@ def enumerate_matchings(
                 f"exceed budget {budget.max_matchings}"
             )
 
-    kept, prefixes = {}, {}
+    held = dict.fromkeys(m.firm_ids, EMPTY)
+    position = m._worker_index
+    # The firms whose sets become final as worker i is placed; key -1 holds
+    # those whose reach is empty, final before the search starts.
+    closing: dict[int, list[AgentId]] = {i: [] for i in range(-1, len(workers))}
+    kept, prefixes, last = {}, {}, {}
     if ir_firms_only:
         for f in m.firm_ids:
             reach = tuple(w for w, opts in zip(workers, options) if any(f in fs for fs in opts))
             kept[f], prefixes[f] = _kept_sets(m, f, reach)
-    held = {f: frozenset() for f in m.firm_ids}
+            last[f] = position[reach[-1]] if reach else -1
+            closing[last[f]].append(f)
+        if any(EMPTY not in kept[f] for f in closing[-1]):
+            return
+    # With stable_only: the accepting set of every worker option, of every
+    # final firm's set, and of the option each placed worker holds (path).
+    firm_choices = m._firm_choices
+    accepts, firm_accepts, path = [], {}, [EMPTY] * len(workers)
+    if stable_only:
+        accepts = [[m._worker_choices[w].accepting(fs) for fs in opts] for w, opts in zip(workers, options)]
+        firm_accepts = {f: firm_choices[f].accepting(EMPTY) for f in closing[-1]}
+
+    def final(i: int) -> bool:
+        """The sets final once worker ``i`` is placed are kept, and no pair decided there blocks."""
+        for f in closing[i]:
+            if held[f] not in kept[f]:
+                return False
+        if not stable_only:
+            return True
+        w = workers[i]
+        for f in path[i]:  # pairs of w with the firms final before w
+            if last[f] < i and w in firm_accepts[f]:
+                return False
+        for f in closing[i]:  # pairs of each firm final now with the workers placed
+            s = held[f]
+            firm_accepts[f] = taken = firm_choices[f].accepting(s)
+            for v in taken - s:
+                if position[v] <= i and f in path[position[v]]:
+                    return False
+        return True
 
     def rec(i: int) -> Iterator[Matching]:
         if i == len(workers):
-            if all(held[f] in sets for f, sets in kept.items()):
-                yield Matching._from_view(held.items(), "firms")
+            yield Matching._from_view(held.items(), "firms")
             return
         w = workers[i]
-        for fs in options[i]:
+        for k, fs in enumerate(options[i]):
+            if stable_only:
+                path[i] = accepts[i][k]
             if not fs:  # no firm's set grows
-                yield from rec(i + 1)
+                if not ir_firms_only or final(i):
+                    yield from rec(i + 1)
                 continue
             before = [(f, held[f]) for f in fs]
             grown = [(f, s | {w}) for f, s in before]
             if ir_firms_only and any(s not in prefixes[f] for f, s in grown):
                 continue
             held.update(grown)
-            yield from rec(i + 1)
+            if not ir_firms_only or final(i):
+                yield from rec(i + 1)
             held.update(before)
 
     yield from rec(0)
 
 
 def enumerate_stable(m: Market, budget: EnumerationBudget | None = None) -> list[Matching]:
-    """The stable set, searched among individually rational matchings only.
+    """The stable set, decided inside the search of :func:`enumerate_matchings`.
 
     Stability implies individual rationality on both sides, so neither the
-    worker-IR options nor the firm-IR pruning of :func:`enumerate_matchings`
-    drops a stable matching or changes their order.  Every matching they
-    yield is individually rational, so stability is the absence of a
-    blocking pair.
+    worker-IR options nor the firm-IR pruning drops a stable matching or
+    changes their order.  On those matchings stability is the absence of a
+    blocking pair, and the worker side of a pair is the plain ``accepting``
+    set of the worker's option (see :func:`matchlattice.matching.is_stable`).
+    Each pair is decided with the ``accepting`` kernels as soon as both of
+    its holdings are final, so one blocking pair cuts every matching below
+    it, and a ``Matching`` is built only for the stable leaves.
     """
-    return [
-        mu
-        for mu in enumerate_matchings(m, budget, ir_workers_only=True, ir_firms_only=True)
-        if not has_blocking_pair(m, mu)
-    ]
+    return list(
+        enumerate_matchings(m, budget, ir_workers_only=True, ir_firms_only=True, stable_only=True)
+    )
 
 
 def enumerate_quasi_stable(

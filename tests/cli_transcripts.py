@@ -15,6 +15,11 @@ an installed console script can be diffed against it directly:
 
 * ``demo`` and ``verify-lattice`` (the oracle's join and meet tables) on
   each example;
+* ``verify-lattice`` on ``tests/golden/latin6_market.json``, the 6 x 6
+  many-to-one Latin core of ``tests/latin_cores.py``, whose stable set has
+  six elements;
+* ``enumerate`` of the worker-IR matchings of one random substitutable
+  market, each with its predicate flags;
 * ``validate`` on each example and on the hand-built market
   ``tests/golden/nonsubstitutable_market.json``, whose violations name their
   witnesses;
@@ -41,6 +46,10 @@ FORMATS = ("text", "json")
 # Markets whose ``validate`` output is kept; those outside EXAMPLES are read
 # from ``tests/golden/<name>_market.json`` and fail validation.
 VALIDATED = (*EXAMPLES, "nonsubstitutable")
+# Markets whose ``verify-lattice`` output is kept, read the same way.
+LATTICES = (*EXAMPLES, "latin6")
+# The ``enumerate`` command whose stream is kept.
+ENUMERATE = ["enumerate", "random:many_to_many_sub:3x4", "--seed", "7", "--ir-workers-only"]
 
 
 def golden_path(name: str) -> Path:
@@ -120,15 +129,35 @@ def join_meet(name: str) -> str:
     return _transcribe(name, commands)
 
 
+def market_arg(name: str) -> str:
+    """A bundled example's name, or the path of ``tests/golden/<name>_market.json``."""
+    return name if name in EXAMPLES else str(GOLDEN / f"{name}_market.json")
+
+
 def verify_lattice(name: str, fmt: str) -> str:
-    """The stdout of ``verify-lattice``, which must exit 0 on a bundled example."""
-    return _stdout(["verify-lattice", name, "--format", fmt])
+    """The stdout of ``verify-lattice``, which must exit 0 on every market in LATTICES."""
+    return _stdout(["verify-lattice", market_arg(name), "--format", fmt])
 
 
 def validate(name: str, fmt: str) -> str:
     """The stdout of ``validate``: exit 0 on an example, 1 on a hand-built market."""
-    market = name if name in EXAMPLES else str(GOLDEN / f"{name}_market.json")
-    return _stdout(["validate", market, "--format", fmt], 0 if name in EXAMPLES else 1)
+    return _stdout(["validate", market_arg(name), "--format", fmt], 0 if name in EXAMPLES else 1)
+
+
+def enumerate_stream() -> str:
+    """The stdout of the ENUMERATE command: one JSON line per matching."""
+    return _stdout(ENUMERATE)
+
+
+def enumerate_path() -> Path:
+    return GOLDEN / "enumerate_random_sub_3x4.txt"
+
+
+def latin6_market() -> str:
+    """The 6 x 6 many-to-one Latin core as ``tests/golden/latin6_market.json`` keeps it."""
+    from latin_cores import latin_core
+
+    return json.dumps(latin_core("many_to_one", 6).to_json(), indent=2) + "\n"
 
 
 def demo(name: str, fmt: str) -> str:
@@ -141,10 +170,15 @@ def replica_build(fmt: str) -> str:
 
 
 if __name__ == "__main__":
-    for name in sys.argv[1:] or (*VALIDATED, "responsive"):
+    for name in sys.argv[1:] or (*VALIDATED, "latin6", "responsive", "enumerate"):
+        if name == "latin6":
+            (GOLDEN / "latin6_market.json").write_text(latin6_market())
+        if name == "enumerate":
+            enumerate_path().write_text(enumerate_stream())
         for fmt in FORMATS:
-            if name in EXAMPLES:
+            if name in LATTICES:
                 output_path("verify-lattice", name, fmt).write_text(verify_lattice(name, fmt))
+            if name in EXAMPLES:
                 output_path("demo", name, fmt).write_text(demo(name, fmt))
             if name in VALIDATED:
                 output_path("validate", name, fmt).write_text(validate(name, fmt))

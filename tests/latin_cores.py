@@ -4,7 +4,8 @@ Firm ``i`` lists ``w_i, w_{i+1}, ...`` and worker ``j`` lists
 ``f_{j+1}, ..., f_j`` (indices mod n), so every cyclic shift of the
 diagonal is stable (Knuth 1976; Gusfield & Irving 1989).  With quotas of 1
 the n x n core has exactly n stable matchings; the 4 x 4 core with quotas
-2/2 has 7.
+2/2 has 7.  ``CASES`` lists the cores the tests build, each as
+``(variant, n, firm_quota, worker_quota, stable count)``.
 """
 
 from matchlattice import LinearPref, Market, QuotaLinearChoice
@@ -25,3 +26,11 @@ def latin_core(variant: str, n: int, firm_quota: int = 1, worker_quota: int = 1)
         assert worker_quota == 1, "many-to-one workers hold one job"
         return Market(variant, firm_choices, worker_prefs=prefs)
     return Market(variant, firm_choices, worker_prefs=prefs, worker_quotas=dict.fromkeys(workers, worker_quota))
+
+
+CASES = [
+    (variant, n, quota, quota, count)
+    for variant in ("many_to_one", "many_to_many_sub")
+    for n, quota, count in ((4, 1, 4), (5, 1, 5), (6, 1, 6))
+] + [(variant, 4, 2, 2, 7) for variant in ("many_to_many_responsive", "many_to_many_sub")]
+CASE_IDS = [f"{c[0]}-{c[1]}x{c[1]}-q{c[2]}" for c in CASES]

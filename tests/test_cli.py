@@ -290,11 +290,21 @@ def test_replica_build_golden_transcripts(fmt):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("name", cli_transcripts.EXAMPLES)
+@pytest.mark.parametrize("name", cli_transcripts.LATTICES)
 def test_verify_lattice_golden_transcripts(name, fmt):
     """The oracle's stable counts and join/meet tables, byte for byte."""
     golden = cli_transcripts.output_path("verify-lattice", name, fmt).read_text()
     assert cli_transcripts.verify_lattice(name, fmt) == golden
+
+
+def test_latin6_market_file_is_the_latin_core():
+    """The market file ``verify-lattice`` reads is the 6 x 6 core of ``latin_cores``."""
+    assert (GOLDEN / "latin6_market.json").read_text() == cli_transcripts.latin6_market()
+
+
+def test_enumerate_stream_golden():
+    """Every worker-IR matching of a random substitutable market, in order, with its flags."""
+    assert cli_transcripts.enumerate_stream() == cli_transcripts.enumerate_path().read_text()
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

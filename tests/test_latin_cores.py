@@ -9,18 +9,10 @@ import pytest
 
 from matchlattice import EnumerationBudget, enumerate_stable, stable_join_firms, stable_meet_firms, verify_lattice
 
-from latin_cores import latin_core
-
-CASES = [
-    (variant, n, quota, quota, count)
-    for variant in ("many_to_one", "many_to_many_sub")
-    for n, quota, count in ((4, 1, 4), (5, 1, 5), (6, 1, 6))
-] + [(variant, 4, 2, 2, 7) for variant in ("many_to_many_responsive", "many_to_many_sub")]
+from latin_cores import CASE_IDS, CASES, latin_core
 
 
-@pytest.mark.parametrize(
-    "variant,n,firm_quota,worker_quota,count", CASES, ids=[f"{c[0]}-{c[1]}x{c[1]}-q{c[2]}" for c in CASES]
-)
+@pytest.mark.parametrize("variant,n,firm_quota,worker_quota,count", CASES, ids=CASE_IDS)
 def test_operators_equal_the_oracle_tables(variant, n, firm_quota, worker_quota, count):
     m = latin_core(variant, n, firm_quota, worker_quota)
     budget = EnumerationBudget(max_firms=n, max_workers=n)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from functools import cache
 
 import pytest
@@ -42,6 +43,7 @@ from matchlattice.market import SUBSET_CAP, ChoiceFunction
 from matchlattice.oracle import count_matchings
 
 from conftest import bundle_market
+from latin_cores import CASE_IDS, CASES, latin_core
 
 VARIANTS = ("many_to_one", "many_to_many_responsive", "many_to_many_sub")
 FIRM_KINDS = ("quota_linear", "set_list", "mixed")
@@ -99,6 +101,15 @@ def raised(fn, *args):
     return False
 
 
+def refusal(fn):
+    """The message of the BudgetExceeded that ``fn()`` raises, or None."""
+    try:
+        fn()
+    except BudgetExceeded as e:
+        return str(e)
+    return None
+
+
 def test_budget_raised_on_same_inputs_at_call_time():
     m = random_market(3, RandomMarketSpec(variant="many_to_many_sub", n_firms=3, n_workers=4))
     ir_count = count_matchings(m, ir_workers_only=True)
@@ -120,6 +131,11 @@ def test_budget_raised_on_same_inputs_at_call_time():
         assert raised(lambda: list(enumerate_matchings(m, budget, ir_firms_only=True))) == raised(
             lambda: list(enumerate_matchings(m, budget))
         )
+        # The search that decides stability counts the worker-IR matchings.
+        assert raised(lambda: list(enumerate_matchings(m, budget, stable_only=True))) == exceeded
+        assert refusal(lambda: list(enumerate_matchings(m, budget, stable_only=True))) == refusal(
+            lambda: enumerate_stable(m, budget)
+        ) == refusal(lambda: list(enumerate_matchings(m, budget, ir_workers_only=True)))
 
 
 def test_enumerate_stable_goldens(example1):
@@ -402,9 +418,14 @@ def assert_pruning_loses_nothing(m):
     assert list(enumerate_matchings(m, ir_firms_only=True)) == [
         mu for mu in everything if firm_ir(m, mu)
     ]
-    assert enumerate_stable(m) == [mu for mu in full if is_stable(m, mu)]
-    assert enumerate_quasi_stable(m, "workers") == [mu for mu in full if is_worker_quasi_stable(m, mu)]
-    assert enumerate_quasi_stable(m, "firms") == [mu for mu in full if is_firm_quasi_stable(m, mu)]
+    assert_searches_equal_filtered(m, full)
+
+
+def assert_searches_equal_filtered(m, full, budget=None):
+    """The stable and quasi-stable searches equal the worker-IR stream ``full`` filtered by definition."""
+    assert enumerate_stable(m, budget) == [mu for mu in full if is_stable(m, mu)]
+    assert enumerate_quasi_stable(m, "workers", budget) == [mu for mu in full if is_worker_quasi_stable(m, mu)]
+    assert enumerate_quasi_stable(m, "firms", budget) == [mu for mu in full if is_firm_quasi_stable(m, mu)]
 
 
 @st.composite
@@ -542,6 +563,81 @@ def test_firms_past_the_validation_cap_are_filtered_exactly():
     pruned = list(enumerate_matchings(m, budget, ir_workers_only=True, ir_firms_only=True))
     assert 0 < len(pruned) < len(full)
     assert pruned == [mu for mu in full if firm_ir(m, mu)]
-    assert enumerate_stable(m, budget) == [mu for mu in full if is_stable(m, mu)]
-    assert enumerate_quasi_stable(m, "workers", budget) == [mu for mu in full if is_worker_quasi_stable(m, mu)]
-    assert enumerate_quasi_stable(m, "firms", budget) == [mu for mu in full if is_firm_quasi_stable(m, mu)]
+    assert_searches_equal_filtered(m, full, budget)
+
+
+# -- stability decided inside the search -------------------------------------
+#
+# ``enumerate_stable`` decides each blocking pair at the depth where both
+# holdings are final, and both searches test each firm's set when it is final.
+# These sweeps compare them with the worker-IR stream filtered leaf by leaf.
+
+
+def assert_decided_as_filtered(m, budget=None):
+    assert_searches_equal_filtered(m, list(enumerate_matchings(m, budget, ir_workers_only=True)), budget)
+
+
+def first_small_markets(spec, count, cap=2_000):
+    """The first ``count`` draws of ``spec``, by seed, with at most ``cap`` worker-IR matchings."""
+    small = (random_market(seed, spec) for seed in range(200))
+    out = [m for m in small if count_matchings(m, ir_workers_only=True) <= cap][:count]
+    assert len(out) == count
+    return out
+
+
+@pytest.mark.parametrize("kind", FIRM_KINDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("shape", [(4, 5, 0.8), (5, 6, 0.5)], ids=["4x5", "5x6"])
+def test_stability_decided_in_search_on_random_markets(shape, variant, kind):
+    n_firms, n_workers, density = shape
+    spec = RandomMarketSpec(variant, n_firms, n_workers, density=density, firm_kind=kind, worker_kind=kind)
+    for m in first_small_markets(spec, 3):
+        assert_decided_as_filtered(m)
+
+
+@pytest.mark.parametrize("variant,n,firm_quota,worker_quota,count", CASES, ids=CASE_IDS)
+def test_stability_decided_in_search_on_latin_cores(variant, n, firm_quota, worker_quota, count):
+    """Stable sets of 4 to 7 elements, where every pair of a full list reaches the leaf."""
+    m = latin_core(variant, n, firm_quota, worker_quota)
+    budget = EnumerationBudget(max_firms=n, max_workers=n)
+    stable, worker_quasi, firm_quasi = [], [], []
+    for mu in enumerate_matchings(m, budget, ir_workers_only=True):  # one pass: 117,649 leaves at 6x6
+        if is_stable(m, mu):
+            stable.append(mu)
+        if is_worker_quasi_stable(m, mu):
+            worker_quasi.append(mu)
+        if is_firm_quasi_stable(m, mu):
+            firm_quasi.append(mu)
+    assert len(stable) == count
+    assert enumerate_stable(m, budget) == stable
+    assert enumerate_quasi_stable(m, "workers", budget) == worker_quasi
+    assert enumerate_quasi_stable(m, "firms", budget) == firm_quasi
+
+
+def unvalidated_set_list(rng, ids):
+    """Up to four distinct entries drawn with no axiom check: most lists are not substitutable."""
+    drawn = (frozenset(rng.sample(ids, rng.randint(1, min(3, len(ids))))) for _ in range(rng.randint(0, 4)))
+    return SetListChoice(list(dict.fromkeys(drawn)), ground=ids)
+
+
+def unvalidated_market(seed, variant):
+    """A 3x4 market whose firms, and in ``many_to_many_sub`` its workers too, hold unvalidated set lists."""
+    rng = random.Random(seed)
+    firms, workers = ["f1", "f2", "f3"], ["w1", "w2", "w3", "w4"]
+    firm_choices = {f: unvalidated_set_list(rng, workers) for f in firms}
+    if variant == "many_to_many_sub":
+        return Market(variant, firm_choices, worker_choices={w: unvalidated_set_list(rng, firms) for w in workers})
+    prefs = {w: LinearPref(rng.sample(firms, rng.randint(0, 3))) for w in workers}
+    if variant == "many_to_one":
+        return Market(variant, firm_choices, worker_prefs=prefs)
+    quotas = {w: rng.randint(1, 2) for w in workers}
+    return Market(variant, firm_choices, worker_prefs=prefs, worker_quotas=quotas)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stability_decided_in_search_without_the_axioms(variant):
+    """Set lists that break substitutability: the finality cut assumes nothing of a choice."""
+    markets = [unvalidated_market(seed, variant) for seed in range(100)]
+    assert sum(not validate_market(m).ok for m in markets) >= 50
+    for m in markets:
+        assert_decided_as_filtered(m)
