@@ -62,6 +62,8 @@ class ChoiceFunction:
     """
 
     ground: frozenset[AgentId]
+    # True on a subclass whose choice is always inside the offer.
+    _contracts = False
 
     def __init__(self, ground: Iterable[AgentId]):
         self.ground = frozenset(ground)
@@ -124,6 +126,8 @@ class SetListChoice(ChoiceFunction):
     empty set when none fits.  This is the general representation; nothing
     about it guarantees substitutability, so run the validators.
     """
+
+    _contracts = True
 
     def __init__(self, subsets: Iterable[Iterable[AgentId]], ground: Iterable[AgentId] | None = None):
         subsets = tuple(frozenset(x) for x in subsets)
@@ -194,6 +198,8 @@ class QuotaLinearChoice(ChoiceFunction):
     substitutable, consistent and path-independent by construction (the
     validators confirm this exhaustively at desk scale).
     """
+
+    _contracts = True
 
     def __init__(self, order: Iterable[AgentId], quota: int = 1, ground: Iterable[AgentId] | None = None):
         order = tuple(order)
@@ -545,26 +551,30 @@ def _choice_to_json(c: ChoiceFunction) -> dict:
 #   consistent     <=>  for all S and x in S - C(S):  C(S - {x}) == C(S)
 #
 # (chain any S' inside S by removing one element at a time).  This costs
-# n * 2^n evaluations instead of 3^n.
+# n * 2^n evaluations instead of 3^n, and as every consistency query is also
+# a substitutability query, one pass asks each C(S - {x}) once for both and
+# checks the contraction C(S) <= S on the way.
 #
-# Both searches, and the contraction check below, run over the subsets of the
-# choice's support L rather than its ground set.  The verdict and the witness
-# are the same.  Take a violation (S, x) with S not inside L.  Then x is in L:
-# for x outside L, S - {x} meets L where S does, so C(S - {x}) == C(S) and
-# nothing is lost or changed.  And (S & L, x) violates in the same way, since
-# C(S & L) == C(S) <= L and (S & L) - {x} == (S - {x}) & L.  So the first
-# violation in size-then-id order lies inside L, and the subsets of L come
-# out of that order in the same relative order as from the ground set.  A
-# choice that contracts on the subsets of L contracts everywhere, as
-# C(S) == C(S & L).  The caps and the skip notes still count the ground set.
+# Every search runs over the subsets of the choice's support L rather than
+# its ground set, with the same verdict and witness.  Take a violation
+# (S, x) with S not inside L.  Then x is in L: for x outside L, S - {x}
+# meets L where S does, so C(S - {x}) == C(S) and nothing is lost or
+# changed.  And (S & L, x) violates in the same way, since
+# C(S & L) == C(S) <= L and (S & L) - {x} == (S - {x}) & L.  Likewise a
+# path-independence pair (S, S') gives (S & L, S' & L) with the same two
+# choices.  So the first violation in size-then-id order lies inside L, and
+# the subsets of L come out of that order in the same relative order as
+# from the ground set.  A choice that contracts on the subsets of L
+# contracts everywhere, as C(S) == C(S & L).  The caps and the skip notes
+# count the ground set.
 #
 # Path independence, C(S u S') == C(C(S) u S') for all S and S', is decided
-# from the same two checks plus the contraction check C(S) <= S: Aizerman and
-# Malishevski (1981) show that a contracting choice is path independent iff
-# it is substitutable and consistent.  The direct search over all pairs costs
-# 4^n and runs only when one of the three checks fails, to find the witness
-# (or, for a choice that does not contract, to decide at all), hence the
-# lower default cap on path independence.
+# from the pass: Aizerman and Malishevski (1981) show that a contracting
+# choice is path independent iff it is substitutable and consistent.  The
+# direct search over all pairs costs 4^n and runs only when one of the
+# three checks fails, to find the witness (or, for a choice that does not
+# contract, to decide at all), hence the lower default cap on path
+# independence.
 
 SUBSET_CAP = 14
 PI_CAP = 10
@@ -615,62 +625,56 @@ def _check_cap(c: ChoiceFunction, cap: int, axiom: str):
         )
 
 
+def _violated(axiom: str, s: frozenset, s2: frozenset, agent: AgentId | None, detail: str) -> ChoiceReport:
+    return ChoiceReport(axiom, False, Violation(axiom, s, s2, agent, detail))
+
+
 def validate_substitutable(c: ChoiceFunction, cap: int = SUBSET_CAP) -> ChoiceReport:
     """Chosen partners must stay chosen when the offered set shrinks."""
     _check_cap(c, cap, "substitutable")
-    return _substitutable_report(c)
-
-
-def _substitutable_report(c: ChoiceFunction) -> ChoiceReport:
-    items = tuple(sort_agents(c.support))
-    for s in _subsets(items):
-        chosen = c.choose(s)
-        for x in [y for y in items if y in s]:  # s in id order
-            smaller = s - {x}
-            kept = chosen & smaller
-            sub_chosen = c.choose(smaller)
-            if not kept <= sub_chosen:
-                lost = sort_agents(kept - sub_chosen)[0]
-                return ChoiceReport(
-                    "substitutable",
-                    False,
-                    Violation(
-                        "substitutable",
-                        s,
-                        smaller,
-                        lost,
-                        f"{lost} chosen from {_fmt_set(s)} but dropped from {_fmt_set(smaller)}",
-                    ),
-                )
-    return ChoiceReport("substitutable", True)
+    return _axiom_search(c)[0]
 
 
 def validate_consistent(c: ChoiceFunction, cap: int = SUBSET_CAP) -> ChoiceReport:
     """Removing rejected partners must not change the choice."""
     _check_cap(c, cap, "consistent")
-    return _consistent_report(c)
+    return _axiom_search(c)[1]
 
 
-def _consistent_report(c: ChoiceFunction) -> ChoiceReport:
+def _axiom_search(c: ChoiceFunction) -> tuple[ChoiceReport, ChoiceReport, bool]:
+    """``(substitutable, consistent, contracts)`` from one pass over the support.
+
+    Each report names its first witness in size-then-id order; ``contracts``
+    is whether ``C(S) <= S`` held on every subset.  The pass stops once both
+    axioms have failed and then reports ``contracts`` as False, since path
+    independence needs the direct search either way.
+    """
     items = tuple(sort_agents(c.support))
+    substitutable = consistent = None
+    contracts = True
     for s in _subsets(items):
         chosen = c.choose(s)
-        for x in [y for y in items if y in s and y not in chosen]:  # s - chosen in id order
+        contracts = contracts and chosen <= s
+        for x in [y for y in items if y in s]:  # s in id order
+            if substitutable is not None and x in chosen:
+                continue  # only consistency is open, and it removes rejected ids
             smaller = s - {x}
-            if c.choose(smaller) != chosen:
-                return ChoiceReport(
-                    "consistent",
-                    False,
-                    Violation(
-                        "consistent",
-                        s,
-                        smaller,
-                        x,
-                        f"dropping rejected {x} changes the choice from {_fmt_set(chosen)} "
-                        f"to {_fmt_set(c.choose(smaller))}",
-                    ),
-                )
-    return ChoiceReport("consistent", True)
+            sub_chosen = c.choose(smaller)
+            if substitutable is None and not chosen & smaller <= sub_chosen:
+                lost = sort_agents((chosen & smaller) - sub_chosen)[0]
+                detail = f"{lost} chosen from {_fmt_set(s)} but dropped from {_fmt_set(smaller)}"
+                substitutable = _violated("substitutable", s, smaller, lost, detail)
+            if consistent is None and x not in chosen and sub_chosen != chosen:
+                before, after = _fmt_set(chosen), _fmt_set(sub_chosen)
+                detail = f"dropping rejected {x} changes the choice from {before} to {after}"
+                consistent = _violated("consistent", s, smaller, x, detail)
+            if substitutable is not None and consistent is not None:
+                return substitutable, consistent, False
+    return (
+        substitutable or ChoiceReport("substitutable", True),
+        consistent or ChoiceReport("consistent", True),
+        contracts,
+    )
 
 
 def validate_path_independent(c: ChoiceFunction, cap: int = PI_CAP) -> ChoiceReport:
@@ -681,48 +685,28 @@ def validate_path_independent(c: ChoiceFunction, cap: int = PI_CAP) -> ChoiceRep
     and names the witness.
     """
     _check_cap(c, cap, "path_independent")
-    return _path_independent_report(c)
+    return _path_independent_report(c, *_axiom_search(c))
 
 
 def _path_independent_report(
-    c: ChoiceFunction,
-    substitutable: ChoiceReport | None = None,
-    consistent: ChoiceReport | None = None,
+    c: ChoiceFunction, substitutable: ChoiceReport, consistent: ChoiceReport, contracts: bool
 ) -> ChoiceReport:
-    """The path-independence verdict, reusing axiom reports already made.
-
-    The checks run uncapped: the caller has applied the path-independence
-    cap, which is what the direct search would have been held to.
-    """
-    if (
-        all(c.choose(s) <= s for s in _subsets(tuple(sort_agents(c.support))))
-        and (substitutable or _substitutable_report(c)).ok
-        and (consistent or _consistent_report(c)).ok
-    ):
+    """The verdict from :func:`_axiom_search`'s results; the caller applies the cap."""
+    if contracts and substitutable.ok and consistent.ok:
         return ChoiceReport("path_independent", True)
     return _path_independence_search(c)
 
 
 def _path_independence_search(c: ChoiceFunction) -> ChoiceReport:
     """The direct check over all pairs of offers, stopping at the first witness."""
-    items = tuple(sort_agents(c.ground))
-    all_subsets = list(_subsets(items))
+    all_subsets = list(_subsets(tuple(sort_agents(c.support))))
     for s in all_subsets:
         cs = c.choose(s)
         for s2 in all_subsets:
-            if c.choose(s | s2) != c.choose(cs | s2):
-                return ChoiceReport(
-                    "path_independent",
-                    False,
-                    Violation(
-                        "path_independent",
-                        s,
-                        s2,
-                        None,
-                        f"C(S u S') = {_fmt_set(c.choose(s | s2))} but "
-                        f"C(C(S) u S') = {_fmt_set(c.choose(cs | s2))}",
-                    ),
-                )
+            whole, stepwise = c.choose(s | s2), c.choose(cs | s2)
+            if whole != stepwise:
+                detail = f"C(S u S') = {_fmt_set(whole)} but C(C(S) u S') = {_fmt_set(stepwise)}"
+                return _violated("path_independent", s, s2, None, detail)
     return ChoiceReport("path_independent", True)
 
 
@@ -752,15 +736,14 @@ def validate_market(
 
     ``source`` may be a built :class:`Market` or a raw JSON object; the raw
     form lets referential problems surface as report entries instead of
-    construction errors.  Substitutability and consistency always run, and
-    path independence is decided from their reports plus the contraction
-    check; these searches run over each choice's support (see
-    :attr:`ChoiceFunction.support`).  Path independence runs only on ground
-    sets within ``pi_cap``, because a failing verdict falls back on the 4^n
-    direct search over the ground set for its witness, and a note records
-    any skip.  Ground sets beyond ``cap`` raise :class:`CapExceeded` unless
-    ``assume_substitutable`` is set, in which case the axioms are skipped
-    with a note.  Both caps count the ground set, not the support.
+    construction errors.  One pass over each choice's support (see
+    :attr:`ChoiceFunction.support`) decides substitutability, consistency
+    and contraction, and path independence follows from them.  It runs only
+    on ground sets within ``pi_cap``, as a failing verdict falls back on the
+    4^n direct search for its witness; a note records any skip.  Ground sets
+    beyond ``cap`` raise :class:`CapExceeded` unless ``assume_substitutable``
+    is set, when the axioms are skipped with a note.  Both caps count the
+    ground set, not the support.
     """
     report = MarketReport(ok=True)
     if not isinstance(source, Market):
@@ -778,9 +761,10 @@ def validate_market(
             )
             report.agents[agent] = []
             return
-        reports = [validate_substitutable(c, cap), validate_consistent(c, cap)]
+        _check_cap(c, cap, "substitutable")
+        *reports, contracts = _axiom_search(c)
         if len(c.ground) <= pi_cap:
-            reports.append(_path_independent_report(c, *reports))
+            reports.append(_path_independent_report(c, *reports, contracts))
         else:
             report.notes.append(
                 f"{agent}: path independence skipped (ground set {len(c.ground)} > cap {pi_cap})"

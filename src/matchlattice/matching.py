@@ -279,13 +279,16 @@ def is_stable(m: Market, mu: Matching) -> bool:
     """Individually rational with no blocking pair, from one ``accepting`` call per agent.
 
     For ``x`` in ``held``, ``x in accepting(held)`` exactly when
-    ``x in C(held)``, and ``C(held) <= held``; so ``held <= accepting(held)``
-    is individual rationality.  A blocking pair is then a firm ``f`` and a
-    worker ``w`` it would add with ``f`` in w's accepting set.  The worker
-    side needs no variant branch: on an individually rational matching no
-    many-to-one worker holds an unacceptable firm and no responsive worker
-    is over quota, so :func:`_worker_takes_on` is the plain ``accepting``
-    set and every blocking pair carries a label.
+    ``x in C(held)``; so ``held <= accepting(held)`` is ``held <= C(held)``,
+    which is individual rationality, ``C(held) == held``, for a choice that
+    contracts.  Set-list, quota-linear and replica choices contract by
+    construction; any other choice is asked ``C(held)`` once more.  A
+    blocking pair is then a firm ``f`` and a worker ``w`` it would add with
+    ``f`` in w's accepting set.  The worker side needs no variant branch: on
+    an individually rational matching no many-to-one worker holds an
+    unacceptable firm and no responsive worker is over quota, so
+    :func:`_worker_takes_on` is the plain ``accepting`` set and every
+    blocking pair carries a label.
     """
     firms = _accepting_if_rational(m, mu, "firms")
     if firms is None:
@@ -302,13 +305,13 @@ def is_stable(m: Market, mu: Matching) -> bool:
 
 
 def _accepting_if_rational(m: Market, mu: Matching, side: str):
-    """Each ``side`` agent's ``accepting(held)``, in id order; None at the first that drops someone."""
+    """Each ``side`` agent's ``accepting(held)``, in id order; None at the first not rational."""
     choices, view, _ = _agents(m, mu, side)
     out = {}
     for a, c in choices.items():
         held = view.get(a, EMPTY)
         out[a] = taken = c.accepting(held)
-        if not held <= taken:
+        if not held <= taken or not (c._contracts or c.choose(held) <= held):
             return None
     return out
 

@@ -46,8 +46,7 @@ from .market import (
     Market,
     QuotaLinearChoice,
     SetListChoice,
-    validate_consistent,
-    validate_substitutable,
+    _axiom_search,
 )
 from .matching import (
     EMPTY,
@@ -448,10 +447,8 @@ def _random_set_list(rng, ids, density, max_list_len, retry_cap) -> SetListChoic
                 seen.add(entry)
                 entries.append(entry)
         choice = SetListChoice(entries, ground=ids)
-        # The validators search the listed ids only, so no cap on the
-        # number of ids is needed.
-        cap = len(ids)
-        if validate_substitutable(choice, cap).ok and validate_consistent(choice, cap).ok:
+        substitutable, consistent, _ = _axiom_search(choice)
+        if substitutable.ok and consistent.ok:
             return choice
     raise GenerationFailed(f"no substitutable set list after {retry_cap} attempts")
 

@@ -12,7 +12,6 @@ two markets are in order-preserving bijection through the bundling map
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import CapExceeded, NotStable, PreimageNotStable, SchemaError
 from .market import (
@@ -22,6 +21,7 @@ from .market import (
     SUBSET_CAP,
     Market,
     SetListChoice,
+    _subsets,
     sort_agents,
 )
 from .matching import Matching, blair_geq_firms, is_stable
@@ -70,6 +70,8 @@ class QExtensionChoice(ChoiceFunction):
     ``base.choose(project(S))`` and each is represented by its lowest-index
     replica present in ``S``.
     """
+
+    _contracts = True
 
     def __init__(self, base: ChoiceFunction, rmap: ReplicaMap, ground=None):
         super().__init__(rmap.replicas if ground is None else ground)
@@ -223,9 +225,7 @@ def as_set_list(c: ChoiceFunction) -> SetListChoice:
     if len(items) > SUBSET_CAP:
         raise CapExceeded(f"cannot materialise over {len(items)} elements (cap {SUBSET_CAP})")
     image = set()
-    subsets = []
-    for r in range(len(items) + 1):
-        subsets.extend(frozenset(x) for x in combinations(items, r))
+    subsets = list(_subsets(items))
     for s in subsets:
         chosen = c.choose(s)
         if chosen:

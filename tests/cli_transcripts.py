@@ -20,9 +20,11 @@ an installed console script can be diffed against it directly:
   six elements;
 * ``enumerate`` of the worker-IR matchings of one random substitutable
   market, each with its predicate flags;
-* ``validate`` on each example and on the hand-built market
-  ``tests/golden/nonsubstitutable_market.json``, whose violations name their
-  witnesses;
+* ``validate`` on each example and on the hand-built markets
+  ``tests/golden/nonsubstitutable_market.json`` and
+  ``tests/golden/wide_ground_market.json``, whose violations name their
+  witnesses (the second lists 3 of its 10 workers in a set list whose
+  path-independence witness is the ninth subset of the ground set);
 * ``replica build`` on ``tests/golden/responsive_market.json``, drawn once
   as ``random_market(2, RandomMarketSpec("many_to_many_responsive", 3, 4))``.
 
@@ -45,7 +47,7 @@ EXAMPLES = ("example1", "example2")
 FORMATS = ("text", "json")
 # Markets whose ``validate`` output is kept; those outside EXAMPLES are read
 # from ``tests/golden/<name>_market.json`` and fail validation.
-VALIDATED = (*EXAMPLES, "nonsubstitutable")
+VALIDATED = (*EXAMPLES, "nonsubstitutable", "wide_ground")
 # Markets whose ``verify-lattice`` output is kept, read the same way.
 LATTICES = (*EXAMPLES, "latin6")
 # The ``enumerate`` command whose stream is kept.

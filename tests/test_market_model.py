@@ -2,6 +2,8 @@
 
 import copy
 import json
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -37,7 +39,15 @@ from matchlattice import (
 from matchlattice.market import ChoiceFunction, _path_independence_search, agent_key, sort_agents
 from matchlattice.replica import QExtensionChoice, ReplicaMap
 
-from axiom_oracles import brute_consistent, brute_path_independent, brute_substitutable, powerset
+from axiom_oracles import (
+    brute_consistent,
+    brute_path_independent,
+    brute_substitutable,
+    first_consistency_violation,
+    first_path_independence_pair,
+    first_substitutable_violation,
+    powerset,
+)
 from conftest import bundle_market
 
 
@@ -435,6 +445,65 @@ def test_max_list_length_is_the_longest_list(example1, example2):
         choices = [*map(m.firm_choice, m.firm_ids), *map(m.worker_choice, m.worker_ids)]
         assert m.max_list_length == max(c.list_length for c in choices)
     assert FullSearch(SetListChoice([["a"]], ground=WIDE)).list_length == len(WIDE)
+
+
+# -- one pass, three axioms ----------------------------------------------------
+#
+# One walk over the support decides substitutability, consistency and the
+# contraction check behind path independence.  Each report must equal the
+# first witness of a separate loop per axiom over the whole ground set.
+
+
+def _random_axiom_choice(rng: random.Random, kind: int) -> ChoiceFunction:
+    """A set list, quota-linear choice or table; tables need not contract."""
+    ground = ["a", "b", "c", "d"] if kind < 2 else ["a", "b", "c"]
+    if kind == 0:  # a set list over part of the ground
+        pool = rng.sample(ground, rng.randint(1, 3))
+        subsets = powerset(pool)[1:]
+        return SetListChoice(rng.sample(subsets, rng.randint(0, min(4, len(subsets)))), ground=ground)
+    if kind == 1:
+        order = rng.sample(ground, rng.randint(0, len(ground)))
+        return QuotaLinearChoice(order, rng.randint(1, 3), ground=ground)
+    if kind == 2:  # any contracting table
+        return TableChoice(ground, {s: frozenset(x for x in s if rng.random() < 0.5) for s in powerset(ground)})
+    if kind == 3:  # any table, naming z outside the ground too
+        outside = [*ground, "z"]
+        return TableChoice(ground, {s: frozenset(x for x in outside if rng.random() < 0.4) for s in powerset(ground)})
+    # substitutable and consistent, reaching outside the offer at one subset only
+    table = {s: s for s in powerset(ground)}
+    padded = rng.choice(list(table))
+    table[padded] = padded | {rng.choice([x for x in [*ground, "z"] if x not in padded])}
+    return TableChoice(ground, table)
+
+
+def _parity_choice(n: int) -> TableChoice:
+    """Keeps the ids whose number has the parity of the offer's size."""
+    ground = [f"a{i}" for i in range(1, n + 1)]
+    return TableChoice(
+        ground, {s: frozenset(a for a in s if int(a[1:]) % 2 == len(s) % 2) for s in powerset(ground)}
+    )
+
+
+def test_one_pass_reports_equal_the_per_axiom_searches():
+    rng = random.Random(18)
+    choices = [_random_axiom_choice(rng, i % 5) for i in range(1200)]
+    choices += [_parity_choice(n) for n in range(6)]
+    verdicts = Counter()
+    for c in choices:
+        row = []
+        for validate, reference in (
+            (validate_substitutable, first_substitutable_violation),
+            (validate_consistent, first_consistency_violation),
+            (validate_path_independent, first_path_independence_pair),
+        ):
+            got = outcome(validate, c)
+            assert got == outcome(reference, c), c
+            row.append(got is not UnknownAgent and got["ok"])
+        verdicts[tuple(row)] += 1
+    # Both kinds of witness a shared pass could miss turn up often: a
+    # consistency violation after a substitutability one, and substitutable,
+    # consistent choices that fail path independence by not contracting.
+    assert verdicts[False, False, False] > 100 and verdicts[True, True, False] > 100
 
 
 # -- LinearPref ---------------------------------------------------------------

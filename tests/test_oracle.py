@@ -28,6 +28,7 @@ from matchlattice import (
     enumerate_quasi_stable,
     enumerate_stable,
     is_firm_quasi_stable,
+    is_individually_rational,
     is_stable,
     is_worker_quasi_stable,
     lambda_join,
@@ -510,6 +511,20 @@ def test_non_contracting_choice_is_checked_on_complete_matchings():
     assert validate_substitutable(m.firm_choice("f1")).ok
     assert Matching([("f1", "w1"), ("f1", "w3")]) in enumerate_matchings(m, ir_firms_only=True)
     assert_pruning_loses_nothing(m)
+
+
+def test_stability_of_a_non_contracting_choice_is_individual_rationality_first():
+    """``C_f1({w1}) = {w1,w3}``: f1 keeps what it holds but is not individually rational."""
+    m = Market(
+        "many_to_one",
+        {"f1": Padded({"w1", "w3"})},
+        worker_prefs={"w1": LinearPref(["f1"]), "w3": LinearPref([])},
+    )
+    mu = Matching([("f1", "w1")])
+    assert not is_individually_rational(m, mu)
+    assert not is_stable(m, mu)
+    assert enumerate_stable(m) == []
+    assert [mu for mu in enumerate_matchings(m) if is_stable(m, mu)] == []
 
 
 class Uncopied(ChoiceFunction):
