@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (reported as a machine-readable
-object under --format json), 2 usage error.  All output is deterministic
-for a fixed (input, flags, seed) triple.
+object under --format json) or a reader that closed the pipe early, 2 usage
+error.  All output is deterministic for a fixed (input, flags, seed) triple.
 
 Market path arguments also accept ``random:<variant>:<F>x<W>`` together
 with ``--seed`` to generate a market on the fly.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from importlib import resources
@@ -457,6 +458,19 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; a reader that closes the pipe early ends it with exit 1 and no traceback."""
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As the SIGPIPE note of the ``signal`` docs does: point stdout at
+        # devnull, so that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

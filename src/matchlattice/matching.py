@@ -21,7 +21,7 @@ from functools import partial
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CapExceeded, SchemaError
-from .market import SUBSET_CAP, AgentId, Market, QuotaLinearChoice, _subsets, agent_key, sort_agents
+from .market import SUBSET_CAP, AgentId, Market, QuotaLinearChoice, _fmt_set, _subsets, agent_key, sort_agents
 
 EMPTY: frozenset[AgentId] = frozenset()
 
@@ -158,13 +158,10 @@ class Matching:
 
     def render(self, m: Market) -> str:
         """Two-row text table: firms on top, their worker sets below."""
-        cols: list[tuple[str, str]] = []
-        for f in m.firm_ids:
-            ws = self.of_firm(f)
-            cols.append((f, "{" + ",".join(sort_agents(ws)) + "}" if ws else "{}"))
+        cols = [(f, _fmt_set(self.of_firm(f))) for f in m.firm_ids]
         unmatched = [w for w in m.worker_ids if not self.of_worker(w)]
         if unmatched:
-            cols.append(("(unmatched)", "{" + ",".join(unmatched) + "}"))
+            cols.append(("(unmatched)", _fmt_set(unmatched)))
         widths = [max(len(a), len(b)) for a, b in cols]
         top = "  ".join(a.ljust(w) for (a, _), w in zip(cols, widths))
         bottom = "  ".join(b.ljust(w) for (_, b), w in zip(cols, widths))
@@ -203,15 +200,6 @@ def is_individually_rational(m: Market, mu: Matching) -> bool:
 
 
 # -- pair blocking ----------------------------------------------------------
-
-
-def blocking_pair_reason(m: Market, mu: Matching, f: AgentId, w: AgentId) -> str | None:
-    if f in mu.of_worker(w):
-        return None
-    if w not in m.firm_choice(f).choose(mu.of_firm(f) | {w}):
-        return None
-    takes_on, reason = _worker_block_clause(m, mu, w)
-    return reason if f in takes_on else None
 
 
 def _worker_takes_on(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:

@@ -10,13 +10,13 @@ the stable set's directly and the quasi-stable sets' through the holdings
 check of :mod:`matchlattice.matching`.
 
 The stable and quasi-stable sets are searched among individually rational
-matchings only, which every one of their predicates requires.  Workers are
-filtered per option.  Each firm lists the sets it keeps whole by asking
-``choose`` once on every set of the workers that could join it; a partial
-matching is extended only while every firm's set is a prefix, in worker
-order, of one of its kept sets, and a firm's set is tested against them
-once it is final.  That filter is exact by definition, so it holds whatever
-a firm's choice does.
+matchings only, which every one of their predicates requires.  One rule
+lists the sets an agent keeps whole, asking ``choose`` once on each
+candidate: every worker's options, up to its quota, and every firm's kept
+sets among the workers that could join it.  A partial matching is extended
+only while every firm's set is a prefix, in worker order, of one of its
+kept sets, and a firm's set is tested against them once it is final.  That
+filter is exact by definition, so it holds whatever a firm's choice does.
 
 Workers are placed in id order, so a worker's holding is final once the
 worker is placed, and a firm's once the last worker whose options name it
@@ -42,6 +42,7 @@ from .errors import BudgetExceeded, GenerationFailed, SchemaError
 from .market import (
     VARIANTS,
     AgentId,
+    ChoiceFunction,
     LinearPref,
     Market,
     QuotaLinearChoice,
@@ -70,41 +71,27 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 
 
-def _worker_options(m: Market, w: AgentId, ir_only: bool) -> list[tuple[AgentId, ...]]:
-    """Firm sets a worker may hold, in deterministic (size, id) order.
+def _kept(choice: ChoiceFunction, items: Sequence[AgentId], size: int, filtered: bool) -> list[tuple]:
+    """The sets of at most ``size`` of ``items``, in (size, id) order, as ``combinations`` tuples.
 
-    Sets up to the worker's quota (substitutable workers have none), each in
-    firm id order; with ``ir_only``, only the sets the worker would keep.
+    With ``filtered``, only the sets the choice keeps whole, ``C(S) == S``.
     """
-    firms = m.firm_ids
-    choice = m.worker_choice(w)
-    quota = m.worker_quotas.get(w, len(firms))
     return [
         s
-        for r in range(min(quota, len(firms)) + 1)
-        for s in combinations(firms, r)
-        if not ir_only or choice.choose(s) == frozenset(s)
+        for r in range(min(size, len(items)) + 1)
+        for s in combinations(items, r)
+        if not filtered or choice.choose(s) == frozenset(s)
     ]
+
+
+def _worker_options(m: Market, w: AgentId, ir_only: bool) -> list[tuple[AgentId, ...]]:
+    """Firm sets a worker may hold: up to its quota (substitutable workers have none)."""
+    firms = m.firm_ids
+    return _kept(m.worker_choice(w), firms, m.worker_quotas.get(w, len(firms)), ir_only)
 
 
 def count_matchings(m: Market, ir_workers_only: bool = False) -> int:
     return prod(len(_worker_options(m, w, ir_workers_only)) for w in m.worker_ids)
-
-
-def _kept_sets(m: Market, f: AgentId, reach: tuple[AgentId, ...]):
-    """``(kept, prefixes)`` of firm ``f`` over the workers in ``reach``.
-
-    ``kept`` holds the subsets ``S`` of ``reach`` with ``C_f(S) == S``;
-    ``prefixes`` holds every non-empty prefix, in ``reach`` order, of one.
-    """
-    choice = m.firm_choice(f)
-    kept, prefixes = set(), set()
-    for r in range(len(reach) + 1):
-        for s in combinations(reach, r):
-            if choice.choose(s) == frozenset(s):
-                kept.add(frozenset(s))
-                prefixes.update(frozenset(s[:k]) for k in range(1, r + 1))
-    return kept, prefixes
 
 
 def enumerate_matchings(
@@ -171,7 +158,9 @@ def enumerate_matchings(
     if ir_firms_only:
         for f in m.firm_ids:
             reach = tuple(w for w, opts in zip(workers, options) if any(f in fs for fs in opts))
-            kept[f], prefixes[f] = _kept_sets(m, f, reach)
+            sets = _kept(m.firm_choice(f), reach, len(reach), True)
+            kept[f] = {frozenset(s) for s in sets}
+            prefixes[f] = {frozenset(s[:k]) for s in sets for k in range(1, len(s) + 1)}
             last[f] = position[reach[-1]] if reach else -1
             closing[last[f]].append(f)
         if any(EMPTY not in kept[f] for f in closing[-1]):

@@ -142,12 +142,7 @@ def build_related_market(m: Market) -> RelatedMarket:
 def phi(rm: RelatedMarket, mu: Matching) -> Matching:
     """Bundle replica assignments back into a many-to-many matching."""
     mu.validate_for(rm.market)
-    edges = set()
-    for w in rm.rmap.base_workers:
-        for r in rm.rmap.replicas_of[w]:
-            for f in mu.of_worker(r):
-                edges.add((f, w))
-    out = Matching(edges)
+    out = Matching((f, rm.rmap.base_of[r]) for f, r in mu.edges)
     out.validate_for(rm.source)
     return out
 

@@ -51,18 +51,25 @@ from .matching import (
 )
 
 
-def _require_quasi_stable(m: Market, side: str, named) -> None:
-    """Raise unless each ``(what, mu)`` lies on the lattice ``side``'s operator walks.
+def _require(m: Market, on: str, named) -> None:
+    """Raise unless each ``(what, mu)`` is a matching of ``m`` in the set ``on`` names.
 
-    The predicate is looked up per call, so a wrapper installed on the module sees it.
+    ``on`` is ``"stable"``, or the side whose operator walks the lattice:
+    ``"firms"`` the worker-quasi-stable set, ``"workers"`` the
+    firm-quasi-stable set.  An edge set that is not a matching of ``m``
+    raises :class:`SchemaError`.  The predicate is looked up per call, so a
+    wrapper installed on the module sees it.
     """
-    if side == "firms":
-        holds, error, label = is_worker_quasi_stable, NotWorkerQuasiStable, "worker"
+    if on == "stable":
+        holds, error, label = is_stable, NotStable, "stable"
+    elif on == "firms":
+        holds, error, label = is_worker_quasi_stable, NotWorkerQuasiStable, "worker-quasi-stable"
     else:
-        holds, error, label = is_firm_quasi_stable, NotFirmQuasiStable, "firm"
+        holds, error, label = is_firm_quasi_stable, NotFirmQuasiStable, "firm-quasi-stable"
     for what, mu in named:
+        mu.validate_for(m)
         if not holds(m, mu):
-            raise error(f"{what} is not {label}-quasi-stable")
+            raise error(f"{what} is not {label}")
 
 
 def _from_rows(m: Market, side: str, rows) -> Matching:
@@ -74,7 +81,7 @@ def _from_rows(m: Market, side: str, rows) -> Matching:
 
 def _pooled_join(m: Market, mu: Matching, mu2: Matching, side: str, check: bool) -> Matching:
     if check:
-        _require_quasi_stable(m, side, (("first argument", mu), ("second argument", mu2)))
+        _require(m, side, (("first argument", mu), ("second argument", mu2)))
     choices, view, _ = _agents(m, mu, side)
     view2 = _agents(m, mu2, side)[1]
     return _from_rows(
@@ -219,7 +226,7 @@ def B_set_of_worker(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
 
 def _step(m: Market, mu: Matching, side: str, check: bool) -> Matching:
     if check:
-        _require_quasi_stable(m, side, [("operator input", mu)])
+        _require(m, side, [("operator input", mu)])
     walk = _current_walk.get()
     if walk is None or walk.m is not m or walk.side != side:
         walk = _Walk(m, side)
@@ -302,7 +309,7 @@ def iterate_to_fixed_point(
     improves = _improvement_order(side)
     mu.validate_for(m)
     if check:
-        _require_quasi_stable(m, side, [("iteration start", mu)])
+        _require(m, side, [("iteration start", mu)])
     if cap is None:
         cap = iteration_cap(m)
     visited = [mu]
@@ -336,13 +343,6 @@ def iterate_to_fixed_point(
     raise NonConvergence(f"no fixed point within {cap} steps")
 
 
-def _require_stable(m: Market, mu: Matching, mu2: Matching) -> None:
-    if not is_stable(m, mu):
-        raise NotStable("first argument is not stable")
-    if not is_stable(m, mu2):
-        raise NotStable("second argument is not stable")
-
-
 def _join_trace(m: Market, mu: Matching, mu2: Matching, side: str) -> OperatorTrace:
     """``side``'s operator walk from the pooled candidate of two stable matchings.
 
@@ -356,14 +356,14 @@ def _join_trace(m: Market, mu: Matching, mu2: Matching, side: str) -> OperatorTr
 def stable_join_firms(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Matching:
     """Least upper bound of two stable matchings in the firm order."""
     if check:
-        _require_stable(m, mu, mu2)
+        _require(m, "stable", (("first argument", mu), ("second argument", mu2)))
     return _join_trace(m, mu, mu2, "firms").final
 
 
 def stable_meet_firms(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Matching:
     """Greatest lower bound in the firm order (= the worker-order join)."""
     if check:
-        _require_stable(m, mu, mu2)
+        _require(m, "stable", (("first argument", mu), ("second argument", mu2)))
     return _join_trace(m, mu, mu2, "workers").final
 
 

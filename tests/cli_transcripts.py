@@ -19,7 +19,8 @@ an installed console script can be diffed against it directly:
   many-to-one Latin core of ``tests/latin_cores.py``, whose stable set has
   six elements;
 * ``enumerate`` of the worker-IR matchings of one random substitutable
-  market, each with its predicate flags;
+  market, and of every matching of one random many-to-one market (the
+  README's example), each with its predicate flags;
 * ``validate`` on each example and on the hand-built markets
   ``tests/golden/nonsubstitutable_market.json`` and
   ``tests/golden/wide_ground_market.json``, whose violations name their
@@ -50,8 +51,11 @@ FORMATS = ("text", "json")
 VALIDATED = (*EXAMPLES, "nonsubstitutable", "wide_ground")
 # Markets whose ``verify-lattice`` output is kept, read the same way.
 LATTICES = (*EXAMPLES, "latin6")
-# The ``enumerate`` command whose stream is kept.
-ENUMERATE = ["enumerate", "random:many_to_many_sub:3x4", "--seed", "7", "--ir-workers-only"]
+# The ``enumerate`` commands whose streams are kept, by golden file name.
+ENUMERATE = {
+    "random_sub_3x4": ["enumerate", "random:many_to_many_sub:3x4", "--seed", "7", "--ir-workers-only"],
+    "many_to_one_3x3": ["enumerate", "random:many_to_one:3x3", "--seed", "7"],
+}
 
 
 def golden_path(name: str) -> Path:
@@ -146,13 +150,13 @@ def validate(name: str, fmt: str) -> str:
     return _stdout(["validate", market_arg(name), "--format", fmt], 0 if name in EXAMPLES else 1)
 
 
-def enumerate_stream() -> str:
-    """The stdout of the ENUMERATE command: one JSON line per matching."""
-    return _stdout(ENUMERATE)
+def enumerate_stream(name: str) -> str:
+    """The stdout of the ENUMERATE command ``name``: one JSON line per matching."""
+    return _stdout(ENUMERATE[name])
 
 
-def enumerate_path() -> Path:
-    return GOLDEN / "enumerate_random_sub_3x4.txt"
+def enumerate_path(name: str) -> Path:
+    return GOLDEN / f"enumerate_{name}.txt"
 
 
 def latin6_market() -> str:
@@ -176,7 +180,8 @@ if __name__ == "__main__":
         if name == "latin6":
             (GOLDEN / "latin6_market.json").write_text(latin6_market())
         if name == "enumerate":
-            enumerate_path().write_text(enumerate_stream())
+            for stream in ENUMERATE:
+                enumerate_path(stream).write_text(enumerate_stream(stream))
         for fmt in FORMATS:
             if name in LATTICES:
                 output_path("verify-lattice", name, fmt).write_text(verify_lattice(name, fmt))

@@ -1,10 +1,14 @@
 """CLI behaviour: subcommands, exit codes, JSON wrapping, golden transcripts."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import matchlattice
 from matchlattice.cli import load_bundle, main
 
 import cli_transcripts
@@ -303,8 +307,21 @@ def test_latin6_market_file_is_the_latin_core():
 
 
 def test_enumerate_stream_golden():
-    """Every worker-IR matching of a random substitutable market, in order, with its flags."""
-    assert cli_transcripts.enumerate_stream() == cli_transcripts.enumerate_path().read_text()
+    """Each kept stream: every matching, or every worker-IR one, in order, with its flags."""
+    for name in cli_transcripts.ENUMERATE:
+        assert cli_transcripts.enumerate_stream(name) == cli_transcripts.enumerate_path(name).read_text(), name
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    """A reader that stops after one of 4,096 lines leaves stderr empty."""
+    env = {**os.environ, "PYTHONPATH": str(Path(matchlattice.__file__).parents[1])}
+    argv = [sys.executable, "-m", "matchlattice", "enumerate", "random:many_to_many_sub:3x4", "--seed", "7"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b'{"assignments":')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

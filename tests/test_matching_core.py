@@ -10,6 +10,7 @@ import pytest
 import matchlattice
 
 from matchlattice import (
+    BlockingPair,
     F_set_of_worker,
     LinearPref,
     Market,
@@ -34,7 +35,6 @@ from matchlattice import (
     unanimous_geq_workers,
     worker_order_geq,
 )
-from matchlattice.matching import blocking_pair_reason
 
 
 def test_matching_mutual_consistency():
@@ -302,21 +302,21 @@ def test_many_to_one_dispatch_matches_general_engine():
 
 def test_blocking_reasons_by_variant(example1):
     m1, named1 = example1
-    assert blocking_pair_reason(m1, named1["mu_boxed"], "f3", "w1") == "worker_prefers"
+    assert BlockingPair("f3", "w1", "worker_prefers") in blocking_pairs(m1, named1["mu_boxed"])
     m = Market(
         "many_to_many_responsive",
         {"f1": QuotaLinearChoice(["w1"], 1), "f2": QuotaLinearChoice(["w1"], 1)},
         worker_prefs={"w1": LinearPref(("f1", "f2"))},
         worker_quotas={"w1": 2},
     )
-    assert blocking_pair_reason(m, Matching.empty(), "f1", "w1") == "vacancy"
+    assert BlockingPair("f1", "w1", "vacancy") in blocking_pairs(m, Matching.empty())
     m_q1 = Market(
         "many_to_many_responsive",
         {"f1": QuotaLinearChoice(["w1"], 1), "f2": QuotaLinearChoice(["w1"], 1)},
         worker_prefs={"w1": LinearPref(("f1", "f2"))},
         worker_quotas={"w1": 1},
     )
-    assert blocking_pair_reason(m_q1, Matching([("f2", "w1")]), "f1", "w1") == "swap"
+    assert BlockingPair("f1", "w1", "swap") in blocking_pairs(m_q1, Matching([("f2", "w1")]))
 
 
 # -- orders -------------------------------------------------------------------------

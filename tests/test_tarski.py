@@ -263,6 +263,35 @@ def test_join_requires_stable_inputs(example1):
         stable_meet_firms(m, named["mu_under"], named["mu_circled"])
 
 
+@pytest.mark.parametrize(
+    "op",
+    [lambda_join, gamma_join, stable_join_firms, stable_meet_firms, stable_join_workers, stable_meet_workers,
+     lambda m, mu, _: tarski_firm_step(m, mu), lambda m, mu, _: tarski_worker_step(m, mu)],
+    ids=["lambda_join", "gamma_join", "stable_join_firms", "stable_meet_firms", "stable_join_workers",
+         "stable_meet_workers", "tarski_firm_step", "tarski_worker_step"],
+)
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        (("f9", "w9"), "matching references unknown firm 'f9'"),
+        (("f1", "w9"), "matching references unknown worker 'w9'"),
+        (("f1", "w1"), "worker w1 holds 2 firms in a many-to-one market"),
+    ],
+    ids=["unknown_firm", "unknown_worker", "over_quota"],
+)
+def test_checked_operations_refuse_edge_sets_that_are_not_matchings(example1, op, edge, message):
+    """``mu_star`` plus one edge is no matching of the market, so every gate raises SchemaError.
+
+    With the edge at an unknown firm the rest is stable on the market's
+    own agents: a gate that only asked its predicate would drop the edge
+    and answer.
+    """
+    m, named = example1
+    bad = Matching(named["mu_star"].edges | {edge})
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        op(m, bad, named["mu_dagger"])
+
+
 def test_lattice_axioms_on_small_markets():
     """Idempotence, commutativity, associativity over enumerated stable sets."""
     for seed in (0, 3, 11):
