@@ -18,7 +18,7 @@ import sys
 from importlib import resources
 
 from . import oracle, replica, tarski
-from .errors import MatchLatticeError, NotStable, ParseError, SchemaError
+from .errors import MatchLatticeError, ParseError, SchemaError
 from .market import PI_CAP, SUBSET_CAP, Market, validate_market
 from .matching import (
     Matching,
@@ -147,14 +147,13 @@ def _cmd_join_meet(args) -> int:
     m = load_market(args.market, args.seed)
     a = load_matching(args.mu1, m)
     b = load_matching(args.mu2, m)
+    tables = None
     if not args.no_check:
-        if not is_stable(m, a):
-            raise NotStable(f"{args.mu1} is not stable in this market")
-        if not is_stable(m, b):
-            raise NotStable(f"{args.mu2} is not stable in this market")
+        named = ((args.mu1, a), (args.mu2, b))
+        tables = tarski._require(m, "stable", named, "{} is not {} in this market")
     # The side's join is its own operator's walk; its meet is the other side's join.
     op_side = args.side if args.command == "join" else _other(args.side)
-    trace = tarski._join_trace(m, a, b, op_side)
+    trace = tarski._join_trace(m, a, b, op_side, tables)
     result = {
         "operation": args.command,
         "side": args.side,

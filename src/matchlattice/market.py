@@ -64,6 +64,10 @@ class ChoiceFunction:
     ground: frozenset[AgentId]
     # True on a subclass whose choice is always inside the offer.
     _contracts = False
+    # True on a subclass that is consistent (Aizerman and Malishevski 1981):
+    # C(S) <= T <= S gives C(T) == C(S).  The walks then keep a choice whose
+    # offer lost only unchosen partners instead of asking it again.
+    _consistent = False
 
     def __init__(self, ground: Iterable[AgentId]):
         self.ground = frozenset(ground)
@@ -124,10 +128,12 @@ class SetListChoice(ChoiceFunction):
 
     ``choose(S)`` returns the first listed subset contained in ``S`` and the
     empty set when none fits.  This is the general representation; nothing
-    about it guarantees substitutability, so run the validators.
+    about it guarantees substitutability, so run the validators.  It is
+    consistent: the first entry inside ``S`` is the first inside any ``T``
+    between it and ``S``.
     """
 
-    _contracts = True
+    _contracts = _consistent = True
 
     def __init__(self, subsets: Iterable[Iterable[AgentId]], ground: Iterable[AgentId] | None = None):
         subsets = tuple(frozenset(x) for x in subsets)
@@ -199,7 +205,7 @@ class QuotaLinearChoice(ChoiceFunction):
     validators confirm this exhaustively at desk scale).
     """
 
-    _contracts = True
+    _contracts = _consistent = True
 
     def __init__(self, order: Iterable[AgentId], quota: int = 1, ground: Iterable[AgentId] | None = None):
         order = tuple(order)

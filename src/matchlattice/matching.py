@@ -24,6 +24,7 @@ from .errors import CapExceeded, SchemaError
 from .market import SUBSET_CAP, AgentId, Market, QuotaLinearChoice, _fmt_set, _subsets, agent_key, sort_agents
 
 EMPTY: frozenset[AgentId] = frozenset()
+SIDES = ("firms", "workers")
 
 
 class Matching:
@@ -71,6 +72,35 @@ class Matching:
             self._edges = frozenset([(b, a) for a, b in pairs])
             self._by_firm, self._by_worker = other, view
         self._hash = hash(self._edges)
+
+    def _patched(self, side: str, rows: Mapping[AgentId, frozenset[AgentId]]) -> "Matching":
+        """This matching with each ``side`` agent of ``rows`` holding its row instead.
+
+        Only the changed rows and the partners they gain or lose are visited.
+        """
+        firms = side == "firms"
+        view, other = (self._by_firm, self._by_worker) if firms else (self._by_worker, self._by_firm)
+        view, other = dict(view), dict(other)
+        gone, added = [], []
+        for a, bs in rows.items():
+            old = view.pop(a, EMPTY)
+            if bs:
+                view[a] = bs
+            for b in old - bs:
+                gone.append((a, b) if firms else (b, a))
+                rest = other[b] - {a}
+                if rest:
+                    other[b] = rest
+                else:
+                    del other[b]
+            for b in bs - old:
+                added.append((a, b) if firms else (b, a))
+                other[b] = other.get(b, EMPTY) | {a}
+        out = Matching.__new__(Matching)
+        out._edges = self._edges.difference(gone).union(added)
+        out._by_firm, out._by_worker = (view, other) if firms else (other, view)
+        out._hash = hash(out._edges)
+        return out
 
     @staticmethod
     def empty() -> "Matching":
@@ -207,16 +237,19 @@ def _worker_takes_on(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
 
     A many-to-one worker holding a firm outside her choice's support, one
     she finds unacceptable or one outside the market, keeps the linear
-    order's natural-id tie-break below the empty option.
+    order's natural-id tie-break below the empty option; one holding two
+    firms raises :class:`SchemaError`.  Any other holding of hers is inside
+    her choice's ground set, so its kernel is called directly.
     """
-    c = m.worker_choice(w)
+    c = m._worker_choices[w]
     held = mu._by_worker.get(w, EMPTY)
-    if held and m.variant == "many_to_one":
+    if m.variant != "many_to_one":
+        return c.accepting(held)
+    if held and (len(held) > 1 or not held <= c.support):
         current = mu.firm_of(w)
-        if current not in c.support:
-            pref = m.worker_pref(w)
-            return frozenset(f for f in m.firm_ids if pref.weakly_prefers(f, current))
-    return c.accepting(held)
+        pref = m.worker_pref(w)
+        return frozenset(f for f in m.firm_ids if pref.weakly_prefers(f, current))
+    return c._accepting(held)
 
 
 def _worker_block_clause(m: Market, mu: Matching, w: AgentId):
@@ -264,7 +297,22 @@ def has_blocking_pair(m: Market, mu: Matching) -> bool:
 
 
 def is_stable(m: Market, mu: Matching) -> bool:
-    """Individually rational with no blocking pair, from one ``accepting`` call per agent.
+    """Individually rational with no blocking pair, from one ``accepting`` call per agent."""
+    return _stable_tables(m, mu, _known(m, mu)) is not None
+
+
+def _known(m: Market, mu: Matching) -> bool:
+    """Whether ``mu`` names only agents of ``m``.
+
+    Every choice's ground set is the whole other side, so each holding of
+    such a matching lies inside its holder's ground set, and the kernels
+    ``_accepting`` and ``_choose`` may be called without the public check.
+    """
+    return mu._by_firm.keys() <= m._firm_index.keys() and mu._by_worker.keys() <= m._worker_index.keys()
+
+
+def _stable_tables(m: Market, mu: Matching, direct: bool = True, base=None, known=((), ())):
+    """``(firms, workers)``, each agent's ``accepting(held)``, if ``mu`` is stable; else None.
 
     For ``x`` in ``held``, ``x in accepting(held)`` exactly when
     ``x in C(held)``; so ``held <= accepting(held)`` is ``held <= C(held)``,
@@ -277,31 +325,49 @@ def is_stable(m: Market, mu: Matching) -> bool:
     unacceptable firm and no responsive worker is over quota, so
     :func:`_worker_takes_on` is the plain ``accepting`` set and every
     blocking pair carries a label.
+
+    ``direct`` calls the kernels themselves, for a ``mu`` that names only
+    agents of ``m`` (:func:`_known`).  ``base`` is ``(mu0, tables0)``: a
+    stable matching of ``m`` and its tables.  An agent holding what it holds
+    in ``mu0`` keeps its set and its rationality from there, and a pair of
+    two such agents blocks ``mu0`` if it blocks ``mu``, so only the other
+    agents are visited and only their pairs scanned.  A visited agent reads
+    its set from the first ``(view, table)`` pair of ``known`` for its side
+    whose view gives it the holding ``mu`` gives it.
     """
-    firms = _accepting_if_rational(m, mu, "firms")
-    if firms is None:
-        return False
-    workers = _accepting_if_rational(m, mu, "workers")
-    if workers is None:
-        return False
-    view = _agents(m, mu, "firms")[1]
-    for f, taken in firms.items():
-        for w in taken - view.get(f, EMPTY):
+    if base is None:
+        tables, moved = ({}, {}), (m.firm_ids, m.worker_ids)
+    else:
+        mu0, (firms0, workers0) = base
+        tables, diff = (dict(firms0), dict(workers0)), mu.edges ^ mu0.edges
+        moved = (
+            sorted({f for f, _ in diff}, key=m._firm_index.__getitem__),
+            sorted({w for _, w in diff}, key=m._worker_index.__getitem__),
+        )
+    for side, out, agents, pairs in zip(SIDES, tables, moved, known):
+        choices, view, _ = _agents(m, mu, side)
+        for a in agents:
+            c, held = choices[a], view.get(a, EMPTY)
+            for v, t in pairs:
+                if v.get(a, EMPTY) == held:
+                    taken = t[a]
+                    break
+            else:
+                taken = c._accepting(held) if direct else c.accepting(held)
+            if not held <= taken or not (c._contracts or c._choose(held) <= held):
+                return None
+            out[a] = taken
+    firms, workers = tables
+    for f in moved[0]:
+        for w in firms[f] - mu._by_firm.get(f, EMPTY):
             if f in workers[w]:
-                return False
-    return True
-
-
-def _accepting_if_rational(m: Market, mu: Matching, side: str):
-    """Each ``side`` agent's ``accepting(held)``, in id order; None at the first not rational."""
-    choices, view, _ = _agents(m, mu, side)
-    out = {}
-    for a, c in choices.items():
-        held = view.get(a, EMPTY)
-        out[a] = taken = c.accepting(held)
-        if not held <= taken or not (c._contracts or c.choose(held) <= held):
-            return None
-    return out
+                return None
+    if base is not None:
+        for w in moved[1]:
+            for f in workers[w] - mu._by_worker.get(w, EMPTY):
+                if w in firms[f]:
+                    return None
+    return tables
 
 
 # -- willing-partner sets ----------------------------------------------------
@@ -317,7 +383,7 @@ def _transpose(rows: Iterable[tuple[AgentId, Iterable[AgentId]]], keys: Iterable
 
 
 def _require_side(side: str) -> None:
-    if side not in ("firms", "workers"):
+    if side not in SIDES:
         raise ValueError("side must be 'firms' or 'workers'")
 
 
@@ -325,15 +391,16 @@ def _other(side: str) -> str:
     return "workers" if side == "firms" else "firms"
 
 
-def _agents(m: Market, mu: Matching, side: str):
+def _agents(m: Market, mu: Matching, side: str, direct: bool = False):
     """``(choices, view, takes_on)`` of one side under ``mu``.
 
     ``choices`` is the market's ``{agent: choice function}`` table, in id
     order, and ``view`` the matching's ``{agent: partners}`` table, which
     leaves out unmatched agents: read it with ``view.get(a, EMPTY)``.  The
-    side-generic bodies read both sides through this, and it is the only
-    reader of the market's choice tables outside :mod:`market`.
-    ``takes_on(a)`` is every partner ``a`` would keep or add.
+    side-generic bodies read both sides through this; outside :mod:`market`
+    only :func:`_worker_takes_on` reads a choice table otherwise.
+    ``takes_on(a)`` is every partner ``a`` would keep or add, from the
+    kernel itself when ``direct`` (see :func:`_known`).
     """
     if side == "firms":
         choices, view = m._firm_choices, mu._by_firm
@@ -342,8 +409,12 @@ def _agents(m: Market, mu: Matching, side: str):
         if m.variant == "many_to_one":
             return choices, view, partial(_worker_takes_on, m, mu)
 
-    def takes_on(a: AgentId) -> frozenset[AgentId]:
-        return choices[a].accepting(view.get(a, EMPTY))
+    if direct:
+        def takes_on(a: AgentId) -> frozenset[AgentId]:
+            return choices[a]._accepting(view.get(a, EMPTY))
+    else:
+        def takes_on(a: AgentId) -> frozenset[AgentId]:
+            return choices[a].accepting(view.get(a, EMPTY))
 
     return choices, view, takes_on
 

@@ -156,8 +156,9 @@ def enumerate_matchings(
     closing: dict[int, list[AgentId]] = {i: [] for i in range(-1, len(workers))}
     kept, prefixes, last = {}, {}, {}
     if ir_firms_only:
+        named = [frozenset().union(*opts) for opts in options]  # the firms each worker's options name
         for f in m.firm_ids:
-            reach = tuple(w for w, opts in zip(workers, options) if any(f in fs for fs in opts))
+            reach = tuple(w for w, fs in zip(workers, named) if f in fs)
             sets = _kept(m.firm_choice(f), reach, len(reach), True)
             kept[f] = {frozenset(s) for s in sets}
             prefixes[f] = {frozenset(s[:k]) for s in sets for k in range(1, len(s) + 1)}

@@ -38,38 +38,52 @@ from .errors import (
 from .market import AgentId, Market
 from .matching import (
     EMPTY,
+    SIDES,
     Matching,
     _agents,
+    _known,
     _other,
     _require_side,
+    _stable_tables,
     blair_geq_firms,
     blocking_pairs,
     is_firm_quasi_stable,
-    is_stable,
     is_worker_quasi_stable,
     worker_order_geq,
 )
 
 
-def _require(m: Market, on: str, named) -> None:
+def _require(m: Market, on: str, named, message: str = "{} is not {}"):
     """Raise unless each ``(what, mu)`` is a matching of ``m`` in the set ``on`` names.
 
     ``on`` is ``"stable"``, or the side whose operator walks the lattice:
     ``"firms"`` the worker-quasi-stable set, ``"workers"`` the
     firm-quasi-stable set.  An edge set that is not a matching of ``m``
-    raises :class:`SchemaError`.  The predicate is looked up per call, so a
-    wrapper installed on the module sees it.
+    raises :class:`SchemaError`; one outside the set raises with
+    ``message`` filled in with ``what`` and the set's name.  The
+    quasi-stability predicates are looked up per call, so a wrapper
+    installed on the module sees them.  For ``"stable"`` it returns each
+    matching's accepting tables; a later matching visits only the agents
+    whose holdings differ from the one before it.
     """
     if on == "stable":
-        holds, error, label = is_stable, NotStable, "stable"
-    elif on == "firms":
+        tables, base = [], None
+        for what, mu in named:
+            mu.validate_for(m)
+            found = _stable_tables(m, mu, True, base)
+            if found is None:
+                raise NotStable(message.format(what, "stable"))
+            tables.append(found)
+            base = (mu, found)
+        return tables
+    if on == "firms":
         holds, error, label = is_worker_quasi_stable, NotWorkerQuasiStable, "worker-quasi-stable"
     else:
         holds, error, label = is_firm_quasi_stable, NotFirmQuasiStable, "firm-quasi-stable"
     for what, mu in named:
         mu.validate_for(m)
         if not holds(m, mu):
-            raise error(f"{what} is not {label}")
+            raise error(message.format(what, label))
 
 
 def _from_rows(m: Market, side: str, rows) -> Matching:
@@ -82,11 +96,19 @@ def _from_rows(m: Market, side: str, rows) -> Matching:
 def _pooled_join(m: Market, mu: Matching, mu2: Matching, side: str, check: bool) -> Matching:
     if check:
         _require(m, side, (("first argument", mu), ("second argument", mu2)))
-    choices, view, _ = _agents(m, mu, side)
-    view2 = _agents(m, mu2, side)[1]
-    return _from_rows(
-        m, side, [(a, c.choose(view.get(a, EMPTY) | view2.get(a, EMPTY))) for a, c in choices.items()]
-    )
+    walk = _current_walk.get()
+    joining = walk is not None and walk.join == (m, mu, mu2, side)
+    if joining and walk.tables:
+        out = walk.candidate()
+    else:
+        choices, view, _ = _agents(m, mu, side)
+        view2 = _agents(m, mu2, side)[1]
+        out = _from_rows(
+            m, side, [(a, c.choose(view.get(a, EMPTY) | view2.get(a, EMPTY))) for a, c in choices.items()]
+        )
+    if joining:
+        walk.start = out
+    return out
 
 
 def lambda_join(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Matching:
@@ -125,67 +147,121 @@ class _Walk:
     holding changes who an agent takes on, so :meth:`advance` re-evaluates
     just what the changed holdings reach: the agents holding them, the
     other-side agents whose willing sets they change, and the owners of the
-    claims that change in turn.  With ``last`` unset every agent is dirty,
-    which is the full evaluation.  Agents are visited in id order, so the
-    calls made and any exception raised do not depend on hash order.
+    claims that change in turn.  A consistent choice whose willing set lost
+    only agents outside its claim keeps the claim.  With ``last`` unset
+    every agent is dirty, which is the full evaluation.  Agents are visited
+    in id order, so the calls made and any exception raised do not depend
+    on hash order.
+
+    On a matching that names only agents of the market (:func:`_known`),
+    such as the walk's own last output ``out``, the kernels are called
+    directly and the next matching patches the input's changed rows.  A
+    walk made for a join holds its inputs ``join`` and, when the stability
+    gate ran, their accepting ``tables``; the candidate and the first
+    evaluation read them wherever a holding equals an input's.
     """
 
-    def __init__(self, m: Market, side: str):
+    def __init__(self, m: Market, side: str, pair=(None, None), tables=None):
         self.m, self.side = m, side
         self.last: Matching | None = None
+        self.out: Matching | None = None
+        self.start: Matching | None = None  # the validated matching the walk starts from
+        self.join, self.tables = (m, *pair, side), tables
+        self.k = SIDES.index(side)
+        self.seed: dict | None = None  # the candidate's takes-on sets read off the tables
         firms, workers = m._firm_index, m._worker_index
         self.position, self.other_position = (firms, workers) if side == "firms" else (workers, firms)
 
-    def _refresh(self, mu: Matching):
+    def _refresh(self, mu: Matching, direct: bool):
         """Bring the takes-on, willing and claim tables to ``mu``; return the agents to re-choose.
 
-        ``last`` stays unset until :meth:`advance` completes, so after a
-        raise the next call is a full evaluation.
+        ``last`` and ``out`` stay unset until :meth:`advance` completes, so
+        after a raise the next call is a full evaluation.
         """
-        choice_of, _, takes_on = _agents(self.m, mu, self.side)
+        choice_of, view, takes_on = _agents(self.m, mu, self.side, direct)
         other_choice_of = _agents(self.m, mu, _other(self.side))[0]
         last, self.last = self.last, None
+        out, self.out = self.out, None
+        seed, self.seed = self.seed or {}, None  # only the first evaluation is at the candidate
         if last is None:
             self.takes, self.claimants = dict.fromkeys(choice_of, EMPTY), dict.fromkeys(choice_of, EMPTY)
             self.willing, self.claims = dict.fromkeys(other_choice_of, EMPTY), dict.fromkeys(other_choice_of, EMPTY)
             self.choices: dict[AgentId, frozenset[AgentId]] = {}
             self.movers: set[AgentId] = set()
+            self.unsure = {a for a, c in choice_of.items() if not c._consistent}
             dirty = choice_of
         else:
-            k = 0 if self.side == "firms" else 1
-            touched = {edge[k] for edge in mu.edges ^ last.edges} & self.position.keys()
+            if mu is out:
+                touched = self.movers  # the rows the last step changed
+            else:
+                touched = {edge[self.k] for edge in mu.edges ^ last.edges} & self.position.keys()
             dirty = sorted(touched, key=self.position.__getitem__)
         # Tables start empty, so a fresh walk toggles in whole sets.
         takes, toggled = self.takes, defaultdict(list)
         for a in dirty:
-            old, new = takes[a], takes_on(a)
+            old = takes[a]
+            new = seed.get(a)
+            if new is None:
+                new = takes_on(a)
             takes[a] = new
             for b in old ^ new if old else new:
                 toggled[b].append(a)
         _toggle(self.willing, toggled)
         reclaim = other_choice_of if last is None else sorted(toggled, key=self.other_position.__getitem__)
-        claims, willing, toggled = self.claims, self.willing, defaultdict(list)
+        claims, willing, changed = self.claims, self.willing, defaultdict(list)
+        # Willing sets hold market agents only, so the kernels answer directly.
         for b in reclaim:
-            old, new = claims[b], other_choice_of[b].choose(willing[b])
-            claims[b] = new
+            c, old, now = other_choice_of[b], claims[b], willing[b]
+            if last is not None and c._consistent and not any(a in now or a in old for a in toggled[b]):
+                continue
+            claims[b] = new = c._choose(now)
             for a in old ^ new if old else new:
-                toggled[a].append(b)
-        _toggle(self.claimants, toggled)
-        return choice_of if last is None else sorted(toggled.keys() | touched, key=self.position.__getitem__)
+                changed[a].append(b)
+        _toggle(self.claimants, changed)
+        return choice_of if last is None else sorted(changed.keys() | touched, key=self.position.__getitem__)
 
     def pool(self, mu: Matching, a: AgentId) -> frozenset[AgentId]:
         """``a``'s operator pool under ``mu``: what it holds plus the claims naming it."""
-        self._refresh(mu)
+        self._refresh(mu, _known(self.m, mu))
         return _agents(self.m, mu, self.side)[1].get(a, EMPTY) | self.claimants[a]
+
+    def candidate(self) -> Matching:
+        """The pooled candidate of the two stable inputs the gate checked.
+
+        The gate found ``C(h) == h`` for every holding ``h``, so an agent that
+        both inputs give ``h`` keeps it without a choice; the others choose
+        from both holdings.  The candidate patches the first input's rows,
+        and an agent holding an input's row takes on the set in its table.
+        """
+        _, mu, mu2, side = self.join
+        choices, view, _ = _agents(self.m, mu, side)
+        view2 = _agents(self.m, mu2, side)[1]
+        rows, seed, seed2 = {}, dict(self.tables[0][self.k]), self.tables[1][self.k]
+        for a, c in choices.items():
+            h, h2 = view.get(a, EMPTY), view2.get(a, EMPTY)
+            if h != h2:
+                row = c._choose(h | h2)
+                if row != h:
+                    rows[a] = row
+                    if row == h2:
+                        seed[a] = seed2[a]
+                    else:
+                        del seed[a]
+        self.seed = seed
+        out = mu._patched(side, rows)
+        out.validate_for(self.m)
+        return out
 
     def advance(self, mu: Matching) -> Matching:
         """One operator application to ``mu``; ``mu`` itself when nobody moves."""
+        validated = mu is self.out or mu is self.start
+        direct = validated or _known(self.m, mu)
         choice_of, view, _ = _agents(self.m, mu, self.side)
-        rechoose = self._refresh(mu)
+        rechoose = self._refresh(mu, direct)
         claimants, choices, movers = self.claimants, self.choices, self.movers
         for a in rechoose:
-            h = view.get(a, EMPTY)
-            choices[a] = chosen = choice_of[a].choose(h | claimants[a])
+            h, c = view.get(a, EMPTY), choice_of[a]
+            choices[a] = chosen = c._choose(h | claimants[a]) if direct else c.choose(h | claimants[a])
             if chosen == h:
                 movers.discard(a)
             else:
@@ -193,10 +269,52 @@ class _Walk:
         self.last = mu
         # With nobody moving the rows are ``mu``, unless ``mu`` has edges at
         # agents outside the market.
-        if movers or sum(map(len, choices.values())) != len(mu):
-            return _from_rows(self.m, self.side, choices.items())
-        mu.validate_for(self.m)
-        return mu
+        if not direct and (movers or sum(map(len, choices.values())) != len(mu)):
+            out = _from_rows(self.m, self.side, choices.items())
+        elif movers:
+            out = mu._patched(self.side, {a: choices[a] for a in movers})
+            out.validate_for(self.m)
+        else:
+            if not validated:
+                mu.validate_for(self.m)
+            out = mu
+        self.out = out
+        return out
+
+    def climbed(self, mu: Matching) -> bool:
+        """Whether the last output is at or above its input ``mu`` in the side's Blair order.
+
+        Each agent must choose what it now holds out of both holdings
+        (Blair 1988).  A non-mover holds what it held, and a consistent
+        choice that picks it out of the agent's pool picks it out of any
+        smaller offer, so only movers and choices not known to be consistent
+        are asked.
+        """
+        choice_of, view, _ = _agents(self.m, self.out, self.side)
+        before = _agents(self.m, mu, self.side)[1]
+        for a in self.movers | self.unsure:
+            held = view.get(a, EMPTY)
+            if choice_of[a]._choose(held | before.get(a, EMPTY)) != held:
+                return False
+        return True
+
+    def stable(self, mu: Matching) -> bool:
+        """Whether ``mu``, the matching the tables are at, is stable.
+
+        The walking side's accepting sets are its ``takes``, except a
+        many-to-one worker's, which carry the tie-break for unacceptable
+        holdings.  After a checked join's gate only the agents whose holdings
+        differ from the first input's are visited, and those holding what the
+        second input gives them read its tables.
+        """
+        base, known = None, [(), ()]
+        if self.tables:
+            _, mu1, mu2, _ = self.join
+            base = (mu1, self.tables[0])
+            known = [[(_agents(self.m, mu2, s)[1], t)] for s, t in zip(SIDES, self.tables[1])]
+        if self.side == "firms" or self.m.variant != "many_to_one":
+            known[self.k] = [(_agents(self.m, mu, self.side)[1], self.takes)]
+        return _stable_tables(self.m, mu, True, base, known) is not None
 
 
 # The walk an ``iterate_to_fixed_point`` call carries across its steps.
@@ -306,15 +424,19 @@ def iterate_to_fixed_point(
     """
     _require_side(side)
     step = tarski_firm_step if side == "firms" else tarski_worker_step
-    improves = _improvement_order(side)
-    mu.validate_for(m)
+    walk = _current_walk.get()
+    if walk is None or walk.start is not mu:
+        walk = _Walk(m, side)
+        if not check:
+            mu.validate_for(m)
     if check:
         _require(m, side, [("iteration start", mu)])
+    walk.start = mu
     if cap is None:
         cap = iteration_cap(m)
     visited = [mu]
     current = mu
-    token = _current_walk.set(_Walk(m, side))
+    token = _current_walk.set(walk)
     try:
         for i in range(1, cap + 1):
             try:
@@ -325,13 +447,13 @@ def iterate_to_fixed_point(
                     "quasi-stable or the market violates substitutability"
                 ) from e
             if nxt == current:
-                if not is_stable(m, current):
+                if not walk.stable(current):
                     raise NonConvergence(
                         "operator reached a fixed point that is not stable; "
                         "the market violates substitutability"
                     )
                 return OperatorTrace(side, tuple(visited))
-            if not improves(m, nxt, current):
+            if not walk.climbed(current):
                 raise NonConvergence(
                     "operator step failed to improve its side's order; "
                     "the market violates substitutability"
@@ -343,28 +465,39 @@ def iterate_to_fixed_point(
     raise NonConvergence(f"no fixed point within {cap} steps")
 
 
-def _join_trace(m: Market, mu: Matching, mu2: Matching, side: str) -> OperatorTrace:
+def _join_trace(m: Market, mu: Matching, mu2: Matching, side: str, tables=None) -> OperatorTrace:
     """``side``'s operator walk from the pooled candidate of two stable matchings.
 
     It ends on their join in ``side``'s order: the firm order for
     ``"firms"``, the worker order (the firm-order meet) for ``"workers"``.
+    ``tables`` are the inputs' accepting tables from the stability gate
+    (:func:`_require`); the candidate and the walk reuse them.  The walk
+    is made here and carried into the candidate and the iteration, so the
+    candidate is validated once.
     """
-    candidate = (lambda_join if side == "firms" else gamma_join)(m, mu, mu2, check=False)
-    return iterate_to_fixed_point(m, candidate, side, check=False)
+    token = _current_walk.set(_Walk(m, side, (mu, mu2), tables))
+    try:
+        candidate = (lambda_join if side == "firms" else gamma_join)(m, mu, mu2, check=False)
+        return iterate_to_fixed_point(m, candidate, side, check=False)
+    finally:
+        _current_walk.reset(token)
+
+
+def _stable_pair(m: Market, mu: Matching, mu2: Matching, check: bool):
+    """The gate of a checked join or meet: both inputs' accepting tables, or None unchecked."""
+    if check:
+        return _require(m, "stable", (("first argument", mu), ("second argument", mu2)))
+    return None
 
 
 def stable_join_firms(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Matching:
     """Least upper bound of two stable matchings in the firm order."""
-    if check:
-        _require(m, "stable", (("first argument", mu), ("second argument", mu2)))
-    return _join_trace(m, mu, mu2, "firms").final
+    return _join_trace(m, mu, mu2, "firms", _stable_pair(m, mu, mu2, check)).final
 
 
 def stable_meet_firms(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Matching:
     """Greatest lower bound in the firm order (= the worker-order join)."""
-    if check:
-        _require(m, "stable", (("first argument", mu), ("second argument", mu2)))
-    return _join_trace(m, mu, mu2, "workers").final
+    return _join_trace(m, mu, mu2, "workers", _stable_pair(m, mu, mu2, check)).final
 
 
 def stable_join_workers(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Matching:

@@ -7,7 +7,10 @@ JSON, and records each command line with its exit code, stdout and stderr.
 ``tests/test_cli.py`` diffs them against ``tests/golden/predicates_<name>.txt``.
 A second transcript runs ``join`` and ``meet`` on ``mu_under`` and
 ``mu_over`` on both sides with ``--trace --format json``; it is kept in
-``tests/golden/join_meet_<name>.txt``.
+``tests/golden/join_meet_<name>.txt``.  A third runs the same commands on
+UNION_COPIES relabelled copies of example2 as one market, with inputs that
+differ block by block so that the walks move; it is kept in
+``tests/golden/join_meet_union.txt``.
 
 The stdout of single commands is kept as it is printed, in
 ``tests/golden/<command>_<name>.txt`` and ``.json``, so that the output of
@@ -94,18 +97,18 @@ def _commands(name: str, matching: Path):
             yield ["iterate", name, matching, "--side", side, "--trace", *extra]
 
 
-def _transcribe(name: str, commands) -> str:
-    """Run ``commands(paths)`` with the example's matchings written to files.
+def _transcribe(files: dict, commands) -> str:
+    """Run ``commands(paths)`` with each JSON object of ``files`` written to ``<label>.json``.
 
-    ``paths`` maps each matching's label to its file; a command line is
-    shown with file names in place of paths.
+    ``paths`` maps each label to its file; a command line is shown with
+    file names in place of paths.
     """
     chunks = []
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
-        for label, mu in load_bundle(name)["matchings"].items():
+        for label, obj in files.items():
             paths[label] = Path(tmp) / f"{label}.json"
-            paths[label].write_text(json.dumps(mu))
+            paths[label].write_text(json.dumps(obj))
         for argv in commands(paths):
             code, out, err = _run([str(a) for a in argv])
             shown = " ".join(a.name if isinstance(a, Path) else a for a in argv)
@@ -122,17 +125,70 @@ def transcript(name: str) -> str:
                 for fmt in FORMATS:
                     yield [*argv, "--format", fmt]
 
-    return _transcribe(name, commands)
+    return _transcribe(load_bundle(name)["matchings"], commands)
+
+
+def _join_meet_commands(market, mu1: Path, mu2: Path):
+    for op in ("join", "meet"):
+        for side in ("firms", "workers"):
+            yield [op, market, mu1, mu2, "--side", side, "--trace", "--format", "json"]
 
 
 def join_meet(name: str) -> str:
     def commands(paths):
-        for op in ("join", "meet"):
-            for side in ("firms", "workers"):
-                yield [op, name, paths["mu_under"], paths["mu_over"], "--side", side, "--trace",
-                       "--format", "json"]
+        return _join_meet_commands(name, paths["mu_under"], paths["mu_over"])
 
-    return _transcribe(name, commands)
+    return _transcribe(load_bundle(name)["matchings"], commands)
+
+
+UNION_COPIES = 4
+# The example2 matching each input holds in each block of the union.
+UNION_BLOCKS = (
+    ("mu_under", "mu_over", "mu_star", "mu_under"),
+    ("mu_over", "mu_under", "mu_under", "mu_star"),
+)
+
+
+def _relabel(a: str, block: int) -> str:
+    return f"{a}.{block}"
+
+
+def union_market() -> dict:
+    """UNION_COPIES relabelled copies of example2's market, as one market."""
+    market = load_bundle("example2")["market"]
+    out = {"variant": market["variant"], "firms": {}, "workers": {}}
+    for block in range(UNION_COPIES):
+        for side in ("firms", "workers"):
+            for agent, spec in market[side].items():
+                spec = dict(spec)
+                if "list" in spec:
+                    spec["list"] = [[_relabel(x, block) for x in entry] for entry in spec["list"]]
+                if "order" in spec:
+                    spec["order"] = [_relabel(x, block) for x in spec["order"]]
+                out[side][_relabel(agent, block)] = spec
+    return out
+
+
+def join_meet_union() -> str:
+    """``join`` and ``meet`` on the union market, its inputs named by UNION_BLOCKS."""
+    named = load_bundle("example2")["matchings"]
+    files = {"example2_union": union_market()}
+    for i, labels in enumerate(UNION_BLOCKS, start=1):
+        assignments = {
+            _relabel(f, block): [_relabel(w, block) for w in ws]
+            for block, label in enumerate(labels)
+            for f, ws in named[label]["assignments"].items()
+        }
+        files[f"mu_{i}"] = {"assignments": assignments}
+
+    def commands(paths):
+        return _join_meet_commands(paths["example2_union"], paths["mu_1"], paths["mu_2"])
+
+    return _transcribe(files, commands)
+
+
+def join_meet_union_path() -> Path:
+    return GOLDEN / "join_meet_union.txt"
 
 
 def market_arg(name: str) -> str:
@@ -176,7 +232,9 @@ def replica_build(fmt: str) -> str:
 
 
 if __name__ == "__main__":
-    for name in sys.argv[1:] or (*VALIDATED, "latin6", "responsive", "enumerate"):
+    for name in sys.argv[1:] or (*VALIDATED, "latin6", "responsive", "enumerate", "union"):
+        if name == "union":
+            join_meet_union_path().write_text(join_meet_union())
         if name == "latin6":
             (GOLDEN / "latin6_market.json").write_text(latin6_market())
         if name == "enumerate":

@@ -286,6 +286,11 @@ def test_join_meet_golden_transcripts(name):
     assert cli_transcripts.join_meet(name) == cli_transcripts.join_meet_path(name).read_text()
 
 
+def test_join_meet_union_golden_transcript():
+    """join and meet on four copies of example2 whose inputs differ block by block, with their traces."""
+    assert cli_transcripts.join_meet_union() == cli_transcripts.join_meet_union_path().read_text()
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_replica_build_golden_transcripts(fmt):
     """The related market of a responsive market, in the market schema."""

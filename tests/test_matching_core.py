@@ -186,6 +186,16 @@ def test_is_stable_goldens(example1, example2):
     assert is_stable(m2, named2["mu_under"]) and is_stable(m2, named2["mu_over"])
 
 
+def test_is_stable_reads_outside_agents_only_through_held_sets(example1):
+    """An agent outside the market raises once a market agent holds it, and is unseen otherwise."""
+    m, named = example1
+    star = named["mu_star"].edges
+    for edge in (("f9", "w1"), ("f1", "w9")):
+        with pytest.raises(UnknownAgent):
+            is_stable(m, Matching(star | {edge}))
+    assert is_stable(m, Matching(star | {("f9", "w9")}))
+
+
 # -- willing-partner sets --------------------------------------------------------
 
 

@@ -5,14 +5,17 @@ steps equal their per-pair forms.
 oracle sweep's small markets under arbitrary edge sets (so matchings that
 are not individually rational, or not even valid for the variant, are
 included), whole walks on 40x40 markets, walks from arbitrary starts that
-may end in non-convergence, and walks on unions of example copies where a
-step moves few agents.
+may end in non-convergence, walks on markets of set lists that are not
+substitutable, where the walks skip the claims of consistent choices, and
+walks on unions of example copies where a step moves few agents.
 """
 
+import inspect
 import random
 
 import pytest
 
+from matchlattice import market, replica, tarski
 from matchlattice import (
     B_set_of_firm,
     B_set_of_worker,
@@ -22,7 +25,9 @@ from matchlattice import (
     Matching,
     NonConvergence,
     OperatorTrace,
+    QuotaLinearChoice,
     RandomMarketSpec,
+    SetListChoice,
     W_set_of_firm,
     blocking_pairs,
     build_related_market,
@@ -39,10 +44,13 @@ from matchlattice import (
     stable_meet_firms,
     tarski_firm_step,
     tarski_worker_step,
+    validate_consistent,
+    validate_substitutable,
     verify_lattice,
 )
 from matchlattice.cli import load_bundle
-from matchlattice.matching import has_blocking_pair
+from matchlattice.market import ChoiceFunction
+from matchlattice.matching import _stable_tables, has_blocking_pair
 from matchlattice.tarski import _Walk, iteration_cap
 
 import reference_operators as ref
@@ -109,6 +117,28 @@ def test_one_pass_stability_equals_the_definition(variant):
             for market in markets:
                 for mu in enumerate_matchings(market):
                     assert outcome(is_stable, market, mu) == outcome(ref.is_stable, market, mu)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stability_from_a_stable_base_equals_the_full_pass(variant):
+    """Visiting only the agents whose holdings differ from a stable matching decides as one full pass.
+
+    Every matching of small markets is checked from each stable base, with
+    another stable matching's tables to read from, and the tables found
+    must be the full pass's too.
+    """
+    for kind in FIRM_KINDS:
+        spec = RandomMarketSpec(variant=variant, n_firms=3, n_workers=4, firm_kind=kind, worker_kind=kind)
+        for seed in range(3):
+            m = random_market(seed, spec)
+            bases = [(mu, _stable_tables(m, mu)) for mu in enumerate_stable(m)]
+            for mu in enumerate_matchings(m):
+                full = _stable_tables(m, mu)
+                assert (full is not None) == ref.is_stable(m, mu)
+                for (base, tables), (other, others) in zip(bases, bases[1:] + bases[:1]):
+                    known = ([(other._by_firm, others[0])], [(other._by_worker, others[1])])
+                    assert _stable_tables(m, mu, True, (base, tables)) == full
+                    assert _stable_tables(m, mu, True, (base, tables), known) == full
 
 
 def walk_markets():
@@ -248,3 +278,114 @@ def test_walks_where_few_agents_change(name):
             trace = iterate_to_fixed_point(m, candidate, side)
             assert trace == ref.iterate_to_fixed_point(m, candidate, side, cap)
             assert trace.final == (join if side == "firms" else meet)
+            # The CLI's path: the gate's tables feed the candidate and the walk.
+            tables = tarski._require(m, "stable", (("first", mu), ("second", mu2)))
+            assert tarski._join_trace(m, mu, mu2, side, tables) == trace
+            assert tarski._join_trace(m, mu, mu2, side) == trace
+
+
+# -- consistent choices keep their claims ----------------------------------------------
+
+
+def random_set_list(rng, ids):
+    """A set list of up to five distinct entries of up to three ids; often not substitutable."""
+    entries = []
+    for _ in range(rng.randint(1, 5)):
+        entry = frozenset(rng.sample(ids, rng.randint(1, min(3, len(ids)))))
+        if entry not in entries:
+            entries.append(entry)
+    return SetListChoice(entries)
+
+
+def set_list_market(rng, n_firms, n_workers, wrap=lambda c: c):
+    firms = [f"f{i}" for i in range(1, n_firms + 1)]
+    workers = [f"w{i}" for i in range(1, n_workers + 1)]
+    return Market(
+        "many_to_many_sub",
+        {f: wrap(random_set_list(rng, workers)) for f in firms},
+        worker_choices={w: wrap(random_set_list(rng, firms)) for w in workers},
+    )
+
+
+def test_choices_flagged_consistent_are_consistent():
+    """Every built-in choice class that claims consistency has it, substitutable or not."""
+    classes = {
+        c for module in (market, replica) for _, c in inspect.getmembers(module, inspect.isclass)
+        if issubclass(c, ChoiceFunction) and c._consistent
+    }
+    assert classes == {SetListChoice, QuotaLinearChoice}
+    assert ChoiceFunction._consistent is False
+    rng = random.Random("consistent")
+    ids = [f"w{i}" for i in range(1, 7)]
+    substitutable = set()
+    for _ in range(150):
+        set_list = random_set_list(rng, ids)
+        linear = QuotaLinearChoice(rng.sample(ids, rng.randint(0, len(ids))), rng.randint(1, 3))
+        assert validate_consistent(set_list).ok and validate_consistent(linear).ok
+        substitutable.add(validate_substitutable(set_list).ok)
+    assert substitutable == {True, False}
+
+
+class Unflagged(ChoiceFunction):
+    """A set list behind a class that does not claim consistency."""
+
+    _contracts = True
+
+    def __init__(self, inner, ground=None):
+        super().__init__(inner.ground if ground is None else ground)
+        self.inner = inner
+
+    def _choose(self, s):
+        return self.inner._choose(s)
+
+    def _accepting(self, held):
+        return self.inner._accepting(held)
+
+    def rebased(self, ground):
+        return Unflagged(self.inner.rebased(ground), ground)
+
+
+def test_choices_not_flagged_consistent_are_asked_again(monkeypatch):
+    """The same walks with and without the flag: equal traces, more choices without it."""
+    calls = {SetListChoice: 0, Unflagged: 0}
+
+    def counted(cls):
+        choose = cls._choose
+
+        def wrapper(self, s):
+            calls[cls] += 1
+            return choose(self, s)
+
+        return wrapper
+
+    rng = random.Random("unflagged")
+    for seed in range(6):
+        flagged = set_list_market(random.Random(seed), 6, 6)
+        unflagged = set_list_market(random.Random(seed), 6, 6, Unflagged)
+        for side in ("firms", "workers"):
+            start = next(mu for mu in random_edge_sets(flagged, rng, 50) if outcome(mu.validate_for, flagged) is None)
+            for mu in (Matching.empty(), start):
+                traces = []
+                for m, cls in ((flagged, SetListChoice), (unflagged, Unflagged)):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(cls, "_choose", counted(cls))
+                        traces.append(outcome(iterate_to_fixed_point, m, mu, side, False))
+                assert traces[0] == traces[1]
+    assert calls[Unflagged] > calls[SetListChoice] > 0
+
+
+def test_walks_on_non_substitutable_set_lists_match_the_reference():
+    """Unchecked walks where consistent claims are kept equal the per-pair walk, step for step."""
+    rng = random.Random("non-substitutable")
+    ends, moved = set(), 0
+    for seed in range(24):
+        m = set_list_market(random.Random(seed), 5, 6)
+        starts = [Matching.empty()]
+        starts += [mu for mu in random_edge_sets(m, rng, 20) if outcome(mu.validate_for, m) is None][:4]
+        for mu in starts:
+            for side in ("firms", "workers"):
+                got = outcome(iterate_to_fixed_point, m, mu, side, False)
+                assert got == outcome(ref.iterate_to_fixed_point, m, mu, side, iteration_cap(m))
+                ends.add(got if got is NonConvergence else type(got))
+                moved += isinstance(got, OperatorTrace) and got.steps > 1
+    assert ends == {OperatorTrace, NonConvergence} and moved

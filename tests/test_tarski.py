@@ -263,6 +263,19 @@ def test_join_requires_stable_inputs(example1):
         stable_meet_firms(m, named["mu_under"], named["mu_circled"])
 
 
+@pytest.mark.parametrize("op", [stable_join_firms, stable_meet_firms], ids=["join", "meet"])
+def test_gate_names_the_first_argument_before_the_second(example1, op):
+    """An unstable first argument is named whatever the second is, even no matching at all."""
+    m, named = example1
+    foreign = Matching(named["mu_star"].edges | {("f9", "w9")})
+    for second in [*named.values(), foreign]:
+        with pytest.raises(NotStable, match="^first argument is not stable$"):
+            op(m, named["mu_boxed"], second)
+    for second in ("mu_boxed", "mu_circled"):
+        with pytest.raises(NotStable, match="^second argument is not stable$"):
+            op(m, named["mu_under"], named[second])
+
+
 @pytest.mark.parametrize(
     "op",
     [lambda_join, gamma_join, stable_join_firms, stable_meet_firms, stable_join_workers, stable_meet_workers,
