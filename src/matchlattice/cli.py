@@ -145,15 +145,10 @@ def _cmd_quasi_check(args) -> int:
 
 def _cmd_join_meet(args) -> int:
     m = load_market(args.market, args.seed)
-    a = load_matching(args.mu1, m)
-    b = load_matching(args.mu2, m)
-    tables = None
-    if not args.no_check:
-        named = ((args.mu1, a), (args.mu2, b))
-        tables = tarski._require(m, "stable", named, "{} is not {} in this market")
+    named = ((args.mu1, load_matching(args.mu1, m)), (args.mu2, load_matching(args.mu2, m)))
     # The side's join is its own operator's walk; its meet is the other side's join.
     op_side = args.side if args.command == "join" else _other(args.side)
-    trace = tarski._join_trace(m, a, b, op_side, tables)
+    trace = tarski._join_trace(m, named, op_side, not args.no_check, "{} is not {} in this market")
     result = {
         "operation": args.command,
         "side": args.side,
@@ -168,7 +163,8 @@ def _cmd_join_meet(args) -> int:
 
 def _cmd_iterate(args) -> int:
     m = load_market(args.market, args.seed)
-    mu = load_matching(args.matching, m)
+    # The iteration validates its start, checked or not.
+    mu = Matching.from_json(_read_json(args.matching))
     trace = tarski.iterate_to_fixed_point(m, mu, args.side, check=not args.no_check)
     result = {"fixed_point": trace.final.to_json(), "steps": trace.steps}
     if args.trace:

@@ -298,20 +298,10 @@ def has_blocking_pair(m: Market, mu: Matching) -> bool:
 
 def is_stable(m: Market, mu: Matching) -> bool:
     """Individually rational with no blocking pair, from one ``accepting`` call per agent."""
-    return _stable_tables(m, mu, _known(m, mu)) is not None
+    return _stable_tables(m, mu, False) is not None
 
 
-def _known(m: Market, mu: Matching) -> bool:
-    """Whether ``mu`` names only agents of ``m``.
-
-    Every choice's ground set is the whole other side, so each holding of
-    such a matching lies inside its holder's ground set, and the kernels
-    ``_accepting`` and ``_choose`` may be called without the public check.
-    """
-    return mu._by_firm.keys() <= m._firm_index.keys() and mu._by_worker.keys() <= m._worker_index.keys()
-
-
-def _stable_tables(m: Market, mu: Matching, direct: bool = True, base=None, known=((), ())):
+def _stable_tables(m: Market, mu: Matching, direct: bool = True, base=None, known=(None, None)):
     """``(firms, workers)``, each agent's ``accepting(held)``, if ``mu`` is stable; else None.
 
     For ``x`` in ``held``, ``x in accepting(held)`` exactly when
@@ -326,14 +316,14 @@ def _stable_tables(m: Market, mu: Matching, direct: bool = True, base=None, know
     :func:`_worker_takes_on` is the plain ``accepting`` set and every
     blocking pair carries a label.
 
-    ``direct`` calls the kernels themselves, for a ``mu`` that names only
-    agents of ``m`` (:func:`_known`).  ``base`` is ``(mu0, tables0)``: a
-    stable matching of ``m`` and its tables.  An agent holding what it holds
-    in ``mu0`` keeps its set and its rationality from there, and a pair of
-    two such agents blocks ``mu0`` if it blocks ``mu``, so only the other
-    agents are visited and only their pairs scanned.  A visited agent reads
-    its set from the first ``(view, table)`` pair of ``known`` for its side
-    whose view gives it the holding ``mu`` gives it.
+    ``direct`` calls the kernels themselves, for a ``mu`` already validated
+    as a matching of ``m``.  ``base`` is ``(mu0, tables0)``: a stable
+    matching of ``m`` and its tables.  An agent holding what it holds in
+    ``mu0`` keeps its set and its rationality from there, and a pair of two
+    such agents blocks ``mu0`` if it blocks ``mu``, so only the other agents
+    are visited and only their pairs scanned.  ``known`` holds, per side,
+    None or that side's accepting table at ``mu``, which a visited agent
+    reads its set from.
     """
     if base is None:
         tables, moved = ({}, {}), (m.firm_ids, m.worker_ids)
@@ -344,14 +334,12 @@ def _stable_tables(m: Market, mu: Matching, direct: bool = True, base=None, know
             sorted({f for f, _ in diff}, key=m._firm_index.__getitem__),
             sorted({w for _, w in diff}, key=m._worker_index.__getitem__),
         )
-    for side, out, agents, pairs in zip(SIDES, tables, moved, known):
+    for side, out, agents, table in zip(SIDES, tables, moved, known):
         choices, view, _ = _agents(m, mu, side)
         for a in agents:
             c, held = choices[a], view.get(a, EMPTY)
-            for v, t in pairs:
-                if v.get(a, EMPTY) == held:
-                    taken = t[a]
-                    break
+            if table is not None:
+                taken = table[a]
             else:
                 taken = c._accepting(held) if direct else c.accepting(held)
             if not held <= taken or not (c._contracts or c._choose(held) <= held):
@@ -400,7 +388,8 @@ def _agents(m: Market, mu: Matching, side: str, direct: bool = False):
     side-generic bodies read both sides through this; outside :mod:`market`
     only :func:`_worker_takes_on` reads a choice table otherwise.
     ``takes_on(a)`` is every partner ``a`` would keep or add, from the
-    kernel itself when ``direct`` (see :func:`_known`).
+    kernel itself when ``direct``, for a ``mu`` already validated as a
+    matching of ``m``.
     """
     if side == "firms":
         choices, view = m._firm_choices, mu._by_firm

@@ -41,7 +41,6 @@ from .matching import (
     SIDES,
     Matching,
     _agents,
-    _known,
     _other,
     _require_side,
     _stable_tables,
@@ -107,7 +106,7 @@ def _pooled_join(m: Market, mu: Matching, mu2: Matching, side: str, check: bool)
             m, side, [(a, c.choose(view.get(a, EMPTY) | view2.get(a, EMPTY))) for a, c in choices.items()]
         )
     if joining:
-        walk.start = out
+        walk.out = out
     return out
 
 
@@ -153,9 +152,11 @@ class _Walk:
     in id order, so the calls made and any exception raised do not depend
     on hash order.
 
-    On a matching that names only agents of the market (:func:`_known`),
-    such as the walk's own last output ``out``, the kernels are called
-    directly and the next matching patches the input's changed rows.  A
+    ``out`` is the last matching the walk validated or built: a step's
+    output, the start :func:`iterate_to_fixed_point` validated, or a join's
+    candidate.  On ``out`` itself the kernels are called directly and the
+    next matching patches its changed rows; any other edge set goes through
+    the public ``choose``/``accepting`` and is rebuilt from its rows.  A
     walk made for a join holds its inputs ``join`` and, when the stability
     gate ran, their accepting ``tables``; the candidate and the first
     evaluation read them wherever a holding equals an input's.
@@ -165,7 +166,6 @@ class _Walk:
         self.m, self.side = m, side
         self.last: Matching | None = None
         self.out: Matching | None = None
-        self.start: Matching | None = None  # the validated matching the walk starts from
         self.join, self.tables = (m, *pair, side), tables
         self.k = SIDES.index(side)
         self.seed: dict | None = None  # the candidate's takes-on sets read off the tables
@@ -222,7 +222,7 @@ class _Walk:
 
     def pool(self, mu: Matching, a: AgentId) -> frozenset[AgentId]:
         """``a``'s operator pool under ``mu``: what it holds plus the claims naming it."""
-        self._refresh(mu, _known(self.m, mu))
+        self._refresh(mu, False)
         return _agents(self.m, mu, self.side)[1].get(a, EMPTY) | self.claimants[a]
 
     def candidate(self) -> Matching:
@@ -254,8 +254,7 @@ class _Walk:
 
     def advance(self, mu: Matching) -> Matching:
         """One operator application to ``mu``; ``mu`` itself when nobody moves."""
-        validated = mu is self.out or mu is self.start
-        direct = validated or _known(self.m, mu)
+        direct = mu is self.out
         choice_of, view, _ = _agents(self.m, mu, self.side)
         rechoose = self._refresh(mu, direct)
         claimants, choices, movers = self.claimants, self.choices, self.movers
@@ -275,7 +274,7 @@ class _Walk:
             out = mu._patched(self.side, {a: choices[a] for a in movers})
             out.validate_for(self.m)
         else:
-            if not validated:
+            if not direct:
                 mu.validate_for(self.m)
             out = mu
         self.out = out
@@ -304,16 +303,12 @@ class _Walk:
         The walking side's accepting sets are its ``takes``, except a
         many-to-one worker's, which carry the tie-break for unacceptable
         holdings.  After a checked join's gate only the agents whose holdings
-        differ from the first input's are visited, and those holding what the
-        second input gives them read its tables.
+        differ from the first input's are visited.
         """
-        base, known = None, [(), ()]
-        if self.tables:
-            _, mu1, mu2, _ = self.join
-            base = (mu1, self.tables[0])
-            known = [[(_agents(self.m, mu2, s)[1], t)] for s, t in zip(SIDES, self.tables[1])]
+        base = (self.join[1], self.tables[0]) if self.tables else None
+        known = [None, None]
         if self.side == "firms" or self.m.variant != "many_to_one":
-            known[self.k] = [(_agents(self.m, mu, self.side)[1], self.takes)]
+            known[self.k] = self.takes
         return _stable_tables(self.m, mu, True, base, known) is not None
 
 
@@ -425,13 +420,13 @@ def iterate_to_fixed_point(
     _require_side(side)
     step = tarski_firm_step if side == "firms" else tarski_worker_step
     walk = _current_walk.get()
-    if walk is None or walk.start is not mu:
+    if walk is None or walk.out is not mu:
         walk = _Walk(m, side)
         if not check:
             mu.validate_for(m)
     if check:
         _require(m, side, [("iteration start", mu)])
-    walk.start = mu
+    walk.out = mu
     if cap is None:
         cap = iteration_cap(m)
     visited = [mu]
@@ -465,16 +460,19 @@ def iterate_to_fixed_point(
     raise NonConvergence(f"no fixed point within {cap} steps")
 
 
-def _join_trace(m: Market, mu: Matching, mu2: Matching, side: str, tables=None) -> OperatorTrace:
+def _join_trace(m: Market, named, side: str, check: bool = True, message: str = "{} is not {}") -> OperatorTrace:
     """``side``'s operator walk from the pooled candidate of two stable matchings.
 
-    It ends on their join in ``side``'s order: the firm order for
-    ``"firms"``, the worker order (the firm-order meet) for ``"workers"``.
-    ``tables`` are the inputs' accepting tables from the stability gate
-    (:func:`_require`); the candidate and the walk reuse them.  The walk
-    is made here and carried into the candidate and the iteration, so the
-    candidate is validated once.
+    ``named`` is ``((what, mu), (what2, mu2))``.  The walk ends on their
+    join in ``side``'s order: the firm order for ``"firms"``, the worker
+    order (the firm-order meet) for ``"workers"``.  With ``check`` the
+    inputs pass the stability gate (:func:`_require`, which fills
+    ``message`` in), and the candidate and the walk reuse the gate's
+    accepting tables.  The walk is made here and carried into the candidate
+    and the iteration, so the candidate is validated once.
     """
+    tables = _require(m, "stable", named, message) if check else None
+    (_, mu), (_, mu2) = named
     token = _current_walk.set(_Walk(m, side, (mu, mu2), tables))
     try:
         candidate = (lambda_join if side == "firms" else gamma_join)(m, mu, mu2, check=False)
@@ -483,21 +481,14 @@ def _join_trace(m: Market, mu: Matching, mu2: Matching, side: str, tables=None) 
         _current_walk.reset(token)
 
 
-def _stable_pair(m: Market, mu: Matching, mu2: Matching, check: bool):
-    """The gate of a checked join or meet: both inputs' accepting tables, or None unchecked."""
-    if check:
-        return _require(m, "stable", (("first argument", mu), ("second argument", mu2)))
-    return None
-
-
 def stable_join_firms(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Matching:
     """Least upper bound of two stable matchings in the firm order."""
-    return _join_trace(m, mu, mu2, "firms", _stable_pair(m, mu, mu2, check)).final
+    return _join_trace(m, (("first argument", mu), ("second argument", mu2)), "firms", check).final
 
 
 def stable_meet_firms(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Matching:
     """Greatest lower bound in the firm order (= the worker-order join)."""
-    return _join_trace(m, mu, mu2, "workers", _stable_pair(m, mu, mu2, check)).final
+    return _join_trace(m, (("first argument", mu), ("second argument", mu2)), "workers", check).final
 
 
 def stable_join_workers(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Matching:

@@ -129,6 +129,53 @@ def test_join_rejects_unstable_input(capsys, asset_files):
     assert payload["ok"] is False and payload["error"]["type"] == "NotStable"
 
 
+def error_bytes(fmt, kind, message):
+    """What ``main`` prints for a domain error: ``(stdout, stderr)``."""
+    if fmt == "json":
+        err = {"type": kind, "message": message}
+        return json.dumps({"ok": False, "result": None, "error": err}, indent=2) + "\n", ""
+    return "", f"error ({kind}): {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+@pytest.mark.parametrize("op", ("join", "meet"))
+def test_join_meet_gate_error_bytes(capsys, asset_files, op, fmt):
+    """The gate names the unstable file, first or second, in the CLI's own words."""
+    boxed = asset_files["mu_boxed"]
+    for pair in ((boxed, asset_files["mu_over"]), (asset_files["mu_under"], boxed)):
+        code, out, err = run(capsys, op, asset_files["market"], *pair, "--format", fmt)
+        assert code == 1
+        assert (out, err) == error_bytes(fmt, "NotStable", f"{boxed} is not stable in this market")
+
+
+@pytest.mark.parametrize("check", ((), ("--no-check",)))
+def test_matching_files_are_validated_before_the_gate(capsys, asset_files, tmp_path, check):
+    """A second file naming an outside firm fails on its schema, checked or not."""
+    foreign = tmp_path / "foreign.json"
+    foreign.write_text(json.dumps({"assignments": {"f9": ["w1"]}}))
+    code, out, err = run(capsys, "join", asset_files["market"], asset_files["mu_boxed"], foreign, *check)
+    assert (code, out, err) == (1, *error_bytes("text", "SchemaError", "matching references unknown firm 'f9'"))
+
+
+@pytest.mark.parametrize("check", ((), ("--no-check",)))
+@pytest.mark.parametrize(
+    "assignments, message",
+    [
+        ({"f9": ["w1"]}, "matching references unknown firm 'f9'"),
+        ({"f1": ["w1"], "f2": ["w1"]}, "worker w1 holds 2 firms in a many-to-one market"),
+    ],
+    ids=["unknown-firm", "two-firms"],
+)
+def test_iterate_start_error_bytes(capsys, asset_files, tmp_path, assignments, message, check):
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps({"assignments": assignments}))
+    for fmt in ("text", "json"):
+        code, out, err = run(
+            capsys, "iterate", asset_files["market"], start, "--side", "firms", "--format", fmt, *check
+        )
+        assert (code, out, err) == (1, *error_bytes(fmt, "SchemaError", message))
+
+
 def test_iterate_command(capsys, asset_files):
     code, out, _ = run(
         capsys, "iterate", asset_files["market"], asset_files["mu_boxed"],

@@ -4,7 +4,7 @@ steps equal their per-pair forms.
 ``reference_operators`` keeps the per-pair definitions.  Inputs are the
 oracle sweep's small markets under arbitrary edge sets (so matchings that
 are not individually rational, or not even valid for the variant, are
-included), whole walks on 40x40 markets, walks from arbitrary starts that
+included), stable matchings with one edge at an outside agent, whole walks on 40x40 markets, walks from arbitrary starts that
 may end in non-convergence, walks on markets of set lists that are not
 substitutable, where the walks skip the claims of consistent choices, and
 walks on unions of example copies where a step moves few agents.
@@ -123,9 +123,9 @@ def test_one_pass_stability_equals_the_definition(variant):
 def test_stability_from_a_stable_base_equals_the_full_pass(variant):
     """Visiting only the agents whose holdings differ from a stable matching decides as one full pass.
 
-    Every matching of small markets is checked from each stable base, with
-    another stable matching's tables to read from, and the tables found
-    must be the full pass's too.
+    Every matching of small markets is checked from each stable base, also
+    with one side's accepting table at the matching given, and the tables
+    found must be the full pass's too.
     """
     for kind in FIRM_KINDS:
         spec = RandomMarketSpec(variant=variant, n_firms=3, n_workers=4, firm_kind=kind, worker_kind=kind)
@@ -135,10 +135,14 @@ def test_stability_from_a_stable_base_equals_the_full_pass(variant):
             for mu in enumerate_matchings(m):
                 full = _stable_tables(m, mu)
                 assert (full is not None) == ref.is_stable(m, mu)
-                for (base, tables), (other, others) in zip(bases, bases[1:] + bases[:1]):
-                    known = ([(other._by_firm, others[0])], [(other._by_worker, others[1])])
-                    assert _stable_tables(m, mu, True, (base, tables)) == full
-                    assert _stable_tables(m, mu, True, (base, tables), known) == full
+                own = (
+                    {f: c.accepting(mu.of_firm(f)) for f, c in m._firm_choices.items()},
+                    {w: c.accepting(mu.of_worker(w)) for w, c in m._worker_choices.items()},
+                )
+                for base in bases:
+                    assert _stable_tables(m, mu, True, base) == full
+                    assert _stable_tables(m, mu, True, base, (own[0], None)) == full
+                    assert _stable_tables(m, mu, True, base, (None, own[1])) == full
 
 
 def walk_markets():
@@ -200,6 +204,53 @@ def test_walk_tables_follow_any_sequence_of_edge_sets(variant, kind):
                 got = outcome(walk.advance, mu)
                 assert got == outcome(want, m, mu)
                 assert got is mu or got != mu
+
+
+def outsider_markets():
+    """The bundled examples and seeded 3x4 markets of every variant and kind, with related markets."""
+    for name in ("example1", "example2"):
+        yield Market.from_json(load_bundle(name)["market"])
+    for variant in VARIANTS:
+        for kind in FIRM_KINDS:
+            spec = RandomMarketSpec(variant=variant, n_firms=3, n_workers=4, firm_kind=kind, worker_kind=kind)
+            for seed in range(3):
+                m = random_market(seed, spec)
+                yield m
+                if variant == "many_to_many_responsive":
+                    yield build_related_market(m).market
+
+
+def test_public_operators_on_edge_sets_naming_outsiders():
+    """Steps, candidates and per-agent sets on a stable matching plus one edge at an outside agent.
+
+    Only matchings a walk validated or built reach the kernels directly;
+    these edge sets take the public entry points and must raise or answer
+    as the per-pair forms do.  ``is_stable`` and ``blocking_pairs`` raise
+    ``UnknownAgent`` here by design, so they are left out.
+    """
+    budget = EnumerationBudget(max_firms=7, max_workers=12)
+    compared = 0
+    for m in outsider_markets():
+        firms, workers = m.firm_ids, m.worker_ids
+        edges = (("zf", workers[0]), (firms[0], "zw"), ("zf", "zw"), ("zf", workers[-1]), (firms[-1], "zw"))
+        stable = enumerate_stable(m, budget)[:2]
+        for mu in stable:
+            for edge in edges:
+                s = Matching(mu.edges | {edge})
+                checks = [(tarski_firm_step, ref.firm_step, (s,)), (tarski_worker_step, ref.worker_step, (s,))]
+                for nu in stable:
+                    for pair in ((s, nu), (nu, s)):
+                        checks += [(lambda_join, ref.lambda_join, pair), (gamma_join, ref.gamma_join, pair)]
+                for got, want, args in checks:
+                    assert outcome(got, m, *args, False) == outcome(want, m, *args)
+                for w in workers:
+                    assert outcome(B_set_of_worker, m, s, w) == outcome(ref.B_set_of_worker, m, s, w)
+                    assert outcome(F_set_of_worker, m, s, w) == outcome(ref.F_set_of_worker, m, s, w)
+                for f in firms:
+                    assert outcome(B_set_of_firm, m, s, f) == outcome(ref.B_set_of_firm, m, s, f)
+                    assert outcome(W_set_of_firm, m, s, f) == outcome(ref.W_set_of_firm, m, s, f)
+                compared += len(checks) + 2 * (len(firms) + len(workers))
+    assert compared == 4570
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -279,9 +330,9 @@ def test_walks_where_few_agents_change(name):
             assert trace == ref.iterate_to_fixed_point(m, candidate, side, cap)
             assert trace.final == (join if side == "firms" else meet)
             # The CLI's path: the gate's tables feed the candidate and the walk.
-            tables = tarski._require(m, "stable", (("first", mu), ("second", mu2)))
-            assert tarski._join_trace(m, mu, mu2, side, tables) == trace
-            assert tarski._join_trace(m, mu, mu2, side) == trace
+            named = (("first", mu), ("second", mu2))
+            assert tarski._join_trace(m, named, side) == trace
+            assert tarski._join_trace(m, named, side, check=False) == trace
 
 
 # -- consistent choices keep their claims ----------------------------------------------
