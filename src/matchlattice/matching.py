@@ -233,18 +233,16 @@ def is_individually_rational(m: Market, mu: Matching) -> bool:
 
 
 def _worker_takes_on(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
-    """Firms ``f`` whose W-set holds ``w``: ``f in C_w(mu(w) | {f})``.
+    """Firms ``f`` whose W-set holds the many-to-one worker ``w``: ``f in C_w(mu(w) | {f})``.
 
-    A many-to-one worker holding a firm outside her choice's support, one
-    she finds unacceptable or one outside the market, keeps the linear
-    order's natural-id tie-break below the empty option; one holding two
-    firms raises :class:`SchemaError`.  Any other holding of hers is inside
-    her choice's ground set, so its kernel is called directly.
+    A worker holding a firm outside her choice's support, one she finds
+    unacceptable or one outside the market, keeps the linear order's
+    natural-id tie-break below the empty option; one holding two firms
+    raises :class:`SchemaError`.  Any other holding of hers is inside her
+    choice's ground set, so its kernel is called directly.
     """
     c = m._worker_choices[w]
     held = mu._by_worker.get(w, EMPTY)
-    if m.variant != "many_to_one":
-        return c.accepting(held)
     if held and (len(held) > 1 or not held <= c.support):
         current = mu.firm_of(w)
         pref = m.worker_pref(w)
@@ -252,11 +250,10 @@ def _worker_takes_on(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
     return c._accepting(held)
 
 
-def _worker_block_clause(m: Market, mu: Matching, w: AgentId):
-    """``(firms, reason)``: the firms ``w`` would block with and why.
+def _worker_block_reason(m: Market, mu: Matching, w: AgentId) -> str | None:
+    """The label of the variant's textbook clause ``w`` blocks under.
 
-    ``reason`` labels the variant's textbook clause; it is None for a
-    responsive worker over quota, who blocks with nobody.
+    It is None for a responsive worker over quota, who blocks with nobody.
     """
     if m.variant == "many_to_one":
         reason = "worker_prefers"
@@ -265,7 +262,7 @@ def _worker_block_clause(m: Market, mu: Matching, w: AgentId):
         reason = "swap" if held == quota else "vacancy" if held < quota else None
     else:
         reason = "worker_chooses"
-    return _worker_takes_on(m, mu, w), reason
+    return reason
 
 
 def _blocking_pairs(m: Market, mu: Matching) -> Iterator[BlockingPair]:
@@ -277,11 +274,12 @@ def _blocking_pairs(m: Market, mu: Matching) -> Iterator[BlockingPair]:
     position = m._worker_index.__getitem__
     clauses: dict[AgentId, tuple] = {}
     choices, view, _ = _agents(m, mu, "firms")
+    worker_takes_on = _agents(m, mu, "workers")[2]
     for f, c in choices.items():
         held = view.get(f, EMPTY)
         for w in sorted(c.accepting(held) - held, key=position):
             if w not in clauses:
-                clauses[w] = _worker_block_clause(m, mu, w)
+                clauses[w] = worker_takes_on(w), _worker_block_reason(m, mu, w)
             takes_on, reason = clauses[w]
             if reason is not None and f in takes_on:
                 yield BlockingPair(f, w, reason)

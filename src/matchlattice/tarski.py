@@ -137,35 +137,33 @@ def _toggle(table: dict, toggled: dict) -> None:
 
 
 class _Walk:
-    """One side's operator tables at the matching ``last`` they were built for.
+    """One side's operator tables, serving only ``out``: the last matching the walk validated or built.
 
-    A step needs, for each ``side`` agent, who it would take on; for each
-    other-side agent, the side agents willing to take it on and its claim
-    (its choice among them); and for each ``side`` agent, its choice from
-    its pool, the claims naming it plus what it holds.  Only a changed
-    holding changes who an agent takes on, so :meth:`advance` re-evaluates
-    just what the changed holdings reach: the agents holding them, the
-    other-side agents whose willing sets they change, and the owners of the
-    claims that change in turn.  A consistent choice whose willing set lost
-    only agents outside its claim keeps the claim.  With ``last`` unset
-    every agent is dirty, which is the full evaluation.  Agents are visited
-    in id order, so the calls made and any exception raised do not depend
-    on hash order.
+    ``out`` is a step's output, the start :func:`iterate_to_fixed_point`
+    validated, or a join's candidate.  A step needs, for each ``side``
+    agent, who it would take on; for each other-side agent, the side agents
+    willing to take it on and its claim (its choice among them); and for
+    each ``side`` agent, its choice from its pool, the claims naming it plus
+    what it holds.  Once the tables are at ``out``, a step from ``out``
+    re-evaluates just what the last step's moves reach: the agents that
+    moved, the other-side agents whose willing sets they change, and the
+    owners of the claims that change in turn.  A consistent choice whose
+    willing set lost only agents outside its claim keeps the claim.  On
+    ``out`` the kernels are called directly and the next matching patches
+    its changed rows.  Any other edge set gets the full evaluation, through
+    the public ``choose``/``accepting``, and is rebuilt from its rows.
+    Agents are visited in id order, so the calls made and any exception
+    raised do not depend on hash order.
 
-    ``out`` is the last matching the walk validated or built: a step's
-    output, the start :func:`iterate_to_fixed_point` validated, or a join's
-    candidate.  On ``out`` itself the kernels are called directly and the
-    next matching patches its changed rows; any other edge set goes through
-    the public ``choose``/``accepting`` and is rebuilt from its rows.  A
-    walk made for a join holds its inputs ``join`` and, when the stability
+    A walk made for a join holds its inputs ``join`` and, when the stability
     gate ran, their accepting ``tables``; the candidate and the first
     evaluation read them wherever a holding equals an input's.
     """
 
     def __init__(self, m: Market, side: str, pair=(None, None), tables=None):
         self.m, self.side = m, side
-        self.last: Matching | None = None
         self.out: Matching | None = None
+        self.takes: dict[AgentId, frozenset[AgentId]] | None = None  # set once the tables are built
         self.join, self.tables = (m, *pair, side), tables
         self.k = SIDES.index(side)
         self.seed: dict | None = None  # the candidate's takes-on sets read off the tables
@@ -175,26 +173,25 @@ class _Walk:
     def _refresh(self, mu: Matching, direct: bool):
         """Bring the takes-on, willing and claim tables to ``mu``; return the agents to re-choose.
 
-        ``last`` and ``out`` stay unset until :meth:`advance` completes, so
-        after a raise the next call is a full evaluation.
+        Only a ``direct`` call, on ``out``, starts from the tables.  ``out``
+        stays unset until :meth:`advance` completes, so after a raise the
+        next call is a full evaluation.
         """
-        choice_of, view, takes_on = _agents(self.m, mu, self.side, direct)
+        choice_of, _, takes_on = _agents(self.m, mu, self.side, direct)
         other_choice_of = _agents(self.m, mu, _other(self.side))[0]
-        last, self.last = self.last, None
-        out, self.out = self.out, None
+        full = not direct or self.takes is None
+        self.out = None
         seed, self.seed = self.seed or {}, None  # only the first evaluation is at the candidate
-        if last is None:
+        if full:
             self.takes, self.claimants = dict.fromkeys(choice_of, EMPTY), dict.fromkeys(choice_of, EMPTY)
             self.willing, self.claims = dict.fromkeys(other_choice_of, EMPTY), dict.fromkeys(other_choice_of, EMPTY)
             self.choices: dict[AgentId, frozenset[AgentId]] = {}
             self.movers: set[AgentId] = set()
-            self.unsure = {a for a, c in choice_of.items() if not c._consistent}
+            # The choices the improvement check asks, in id order.
+            self.unsure = [a for a, c in choice_of.items() if not (c._consistent and c._contracts)]
             dirty = choice_of
         else:
-            if mu is out:
-                touched = self.movers  # the rows the last step changed
-            else:
-                touched = {edge[self.k] for edge in mu.edges ^ last.edges} & self.position.keys()
+            touched = self.movers  # the rows the last step changed
             dirty = sorted(touched, key=self.position.__getitem__)
         # Tables start empty, so a fresh walk toggles in whole sets.
         takes, toggled = self.takes, defaultdict(list)
@@ -207,18 +204,18 @@ class _Walk:
             for b in old ^ new if old else new:
                 toggled[b].append(a)
         _toggle(self.willing, toggled)
-        reclaim = other_choice_of if last is None else sorted(toggled, key=self.other_position.__getitem__)
+        reclaim = other_choice_of if full else sorted(toggled, key=self.other_position.__getitem__)
         claims, willing, changed = self.claims, self.willing, defaultdict(list)
         # Willing sets hold market agents only, so the kernels answer directly.
         for b in reclaim:
             c, old, now = other_choice_of[b], claims[b], willing[b]
-            if last is not None and c._consistent and not any(a in now or a in old for a in toggled[b]):
+            if not full and c._consistent and not any(a in now or a in old for a in toggled[b]):
                 continue
             claims[b] = new = c._choose(now)
             for a in old ^ new if old else new:
                 changed[a].append(b)
         _toggle(self.claimants, changed)
-        return choice_of if last is None else sorted(changed.keys() | touched, key=self.position.__getitem__)
+        return choice_of if full else sorted(changed.keys() | touched, key=self.position.__getitem__)
 
     def pool(self, mu: Matching, a: AgentId) -> frozenset[AgentId]:
         """``a``'s operator pool under ``mu``: what it holds plus the claims naming it."""
@@ -265,7 +262,6 @@ class _Walk:
                 movers.discard(a)
             else:
                 movers.add(a)
-        self.last = mu
         # With nobody moving the rows are ``mu``, unless ``mu`` has edges at
         # agents outside the market.
         if not direct and (movers or sum(map(len, choices.values())) != len(mu)):
@@ -284,14 +280,14 @@ class _Walk:
         """Whether the last output is at or above its input ``mu`` in the side's Blair order.
 
         Each agent must choose what it now holds out of both holdings
-        (Blair 1988).  A non-mover holds what it held, and a consistent
-        choice that picks it out of the agent's pool picks it out of any
-        smaller offer, so only movers and choices not known to be consistent
-        are asked.
+        (Blair 1988).  What an agent holds now is ``C(pool)``, its choice
+        out of its pool under ``mu``, which holds both holdings.  A choice
+        that is consistent and contracts therefore picks it out of their
+        union too, so only the other choices are asked.
         """
         choice_of, view, _ = _agents(self.m, self.out, self.side)
         before = _agents(self.m, mu, self.side)[1]
-        for a in self.movers | self.unsure:
+        for a in self.unsure:
             held = view.get(a, EMPTY)
             if choice_of[a]._choose(held | before.get(a, EMPTY)) != held:
                 return False
@@ -300,15 +296,15 @@ class _Walk:
     def stable(self, mu: Matching) -> bool:
         """Whether ``mu``, the matching the tables are at, is stable.
 
-        The walking side's accepting sets are its ``takes``, except a
-        many-to-one worker's, which carry the tie-break for unacceptable
-        holdings.  After a checked join's gate only the agents whose holdings
-        differ from the first input's are visited.
+        The walking side's accepting sets are its ``takes``.  At a fixed
+        point every agent of that side holds ``C(pool)``; for a many-to-one
+        worker that is at most one acceptable firm, so her takes-on set is
+        her plain accepting set.  After a checked join's gate only the
+        agents whose holdings differ from the first input's are visited.
         """
         base = (self.join[1], self.tables[0]) if self.tables else None
         known = [None, None]
-        if self.side == "firms" or self.m.variant != "many_to_one":
-            known[self.k] = self.takes
+        known[self.k] = self.takes
         return _stable_tables(self.m, mu, True, base, known) is not None
 
 
@@ -337,13 +333,18 @@ def B_set_of_worker(m: Market, mu: Matching, w: AgentId) -> frozenset[AgentId]:
     return _Walk(m, "workers").pool(mu, w)
 
 
+def _walk_for(m: Market, mu: Matching, side: str) -> _Walk:
+    """The walk in progress if ``mu`` is its ``out`` on ``m`` and ``side``; else a fresh walk."""
+    walk = _current_walk.get()
+    if walk is not None and walk.out is mu and walk.m is m and walk.side == side:
+        return walk
+    return _Walk(m, side)
+
+
 def _step(m: Market, mu: Matching, side: str, check: bool) -> Matching:
     if check:
         _require(m, side, [("operator input", mu)])
-    walk = _current_walk.get()
-    if walk is None or walk.m is not m or walk.side != side:
-        walk = _Walk(m, side)
-    return walk.advance(mu)
+    return _walk_for(m, mu, side).advance(mu)
 
 
 def tarski_firm_step(m: Market, mu: Matching, check: bool = True) -> Matching:
@@ -354,14 +355,6 @@ def tarski_firm_step(m: Market, mu: Matching, check: bool = True) -> Matching:
 def tarski_worker_step(m: Market, mu: Matching, check: bool = True) -> Matching:
     """One vacancy-chain round: every worker chooses from her operator pool."""
     return _step(m, mu, "workers", check)
-
-
-def _improvement_order(side: str):
-    """The order a ``side`` walk climbs: the firms' Blair order or the worker order.
-
-    Looked up per call, so a wrapper installed on the module sees it.
-    """
-    return blair_geq_firms if side == "firms" else worker_order_geq
 
 
 @dataclass(frozen=True)
@@ -388,8 +381,10 @@ class OperatorTrace:
                 "blocking_pairs": len(blocking_pairs(m, mu)),
             }
             if i > 0:
-                prev = self.matchings[i - 1]
-                entry["improves"] = _improvement_order(self.side)(m, mu, prev)
+                # The order this side climbs, looked up per call so a
+                # wrapper installed on the module sees it.
+                improves = blair_geq_firms if self.side == "firms" else worker_order_geq
+                entry["improves"] = improves(m, mu, self.matchings[i - 1])
             entries.append(entry)
         return {"side": self.side, "steps": self.steps, "trace": entries}
 
@@ -419,13 +414,11 @@ def iterate_to_fixed_point(
     """
     _require_side(side)
     step = tarski_firm_step if side == "firms" else tarski_worker_step
-    walk = _current_walk.get()
-    if walk is None or walk.out is not mu:
-        walk = _Walk(m, side)
-        if not check:
-            mu.validate_for(m)
+    walk = _walk_for(m, mu, side)
     if check:
         _require(m, side, [("iteration start", mu)])
+    elif walk.out is not mu:
+        mu.validate_for(m)
     walk.out = mu
     if cap is None:
         cap = iteration_cap(m)

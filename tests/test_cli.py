@@ -1,5 +1,6 @@
 """CLI behaviour: subcommands, exit codes, JSON wrapping, golden transcripts."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -418,6 +419,64 @@ def test_empty_matching_walks_and_checks_at_40x40(capsys, tmp_path, variant):
             )
             assert code == 0, err
             assert command == "iterate" or out.endswith("quasi-stable: true\n")
+
+
+# SHA-256 of the 40x40 outputs the CI job compares across hash seeds, per
+# variant: the traced worker walk from the empty matching (seed 3), the walk
+# to each side's extreme (seed 1), and the traced join and meet of the two
+# extremes, checked or not.
+WALK_DIGESTS = {
+    "many_to_one": {
+        "iterate": "a0f9d80588001791a8638cf16782b3d0ecea1755c1fb674c3806db7c9fa42313",
+        "firms": "be301013c9ad2a67badb32f4334b43b145165fff37f14c371f6e5c4f122f3e76",
+        "workers": "fe27b2e8669d77a84d0f3cf8871331a6555afb9e2d1efff8b34f6066a82ea096",
+        "join": "a579048c668f565d8a993d59dc9d599502d87220dbb463fcc5c5d5413eb61932",
+        "meet": "4228debcb31432671ae303ecac2a10268c1150da3f33f89f0b632079b885e689",
+    },
+    "many_to_many_responsive": {
+        "iterate": "629aae2facf7ae34f5785b14000ba6a0e5c22d9f65efabfca0b780e24d27b0aa",
+        "firms": "3a91ce2e3d558b036b6b69a51c942d9183550fe3684fc7ec7f33cd530eb623fd",
+        "workers": "4064742e11c441564f67659cd79c048a0a5baf36cecf894177fcdb8399f02483",
+        "join": "e8c948baf1a12c77edc3b3df33468b3af5c6afce644707bcf994104bd6ffbb80",
+        "meet": "5cd25fb6158027633bdc78914c2941bb84ec1a4f6640df11c49f1f0ba82094d4",
+    },
+    "many_to_many_sub": {
+        "iterate": "dc12d9918739cbd73b223b89826f4818c87d5bc594884171c62c6d17e622d1ee",
+        "firms": "db5a5e271a04a4c4a9cafee9a93188f41566f163d31384408700998a0a62b5d7",
+        "workers": "abd4f262355907e1f0a1aa9be8a1c4e17ac74f7f7a6153c177e41c30cc4fa40b",
+        "join": "7102ce6f3325610d0255ffde6a193bc8171390c9c8635508516369af33c2d3f2",
+        "meet": "7ed7d7dc57410b2a08e848448dd05c365703cdce5f5731d79dc4eab82871e487",
+    },
+}
+
+
+@pytest.mark.parametrize("variant", list(WALK_DIGESTS))
+def test_40x40_walks_print_the_pinned_bytes(capsys, tmp_path, variant):
+    market = f"random:{variant}:40x40"
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"assignments": {}}))
+
+    def output(*argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        return out
+
+    def digest(out):
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    traced = output("iterate", market, empty, "--side", "workers", "--trace", "--format", "json", "--seed", 3)
+    got = {"iterate": digest(traced)}
+    extremes = []
+    for side in ("firms", "workers"):
+        out = output("iterate", market, empty, "--side", side, "--format", "json", "--seed", 1)
+        got[side] = digest(out)
+        extremes.append(tmp_path / f"extreme_{side}.json")
+        extremes[-1].write_text(json.dumps(json.loads(out)["result"]["fixed_point"]))
+    for op in ("join", "meet"):
+        argv = (op, market, *extremes, "--trace", "--format", "json", "--seed", 1)
+        got[op] = digest(output(*argv))
+        assert digest(output(*argv, "--no-check")) == got[op]
+    assert got == WALK_DIGESTS[variant]
 
 
 def test_demo_json_shape(capsys):

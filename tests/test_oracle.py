@@ -16,6 +16,7 @@ from matchlattice import (
     LinearPref,
     Market,
     Matching,
+    OperatorTrace,
     QuotaLinearChoice,
     RandomMarketSpec,
     SchemaError,
@@ -27,6 +28,7 @@ from matchlattice import (
     enumerate_matchings,
     enumerate_quasi_stable,
     enumerate_stable,
+    extremal_stable,
     is_firm_quasi_stable,
     is_individually_rational,
     is_stable,
@@ -40,6 +42,7 @@ from matchlattice import (
     verify_lattice,
     worker_order_geq,
 )
+from matchlattice import oracle, tarski
 from matchlattice.market import SUBSET_CAP, ChoiceFunction
 from matchlattice.oracle import count_matchings
 
@@ -288,6 +291,69 @@ def test_verify_lattice_example2(example2):
     stable = enumerate_stable(m, budget)
     assert named["mu_star"] in stable
     assert named["mu_under"] in stable and named["mu_over"] in stable
+
+
+# Example 1's stable set is a chain of four: pair (i, j) with i < j has
+# join j and meet i.
+EXAMPLE1_PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]
+
+
+@pytest.mark.parametrize("op,other", [("join", "meet"), ("meet", "join")])
+def test_verify_lattice_reports_an_operator_that_returns_another_stable_matching(example1, monkeypatch, op, other):
+    m, _ = example1
+    monkeypatch.setattr(tarski, f"stable_{op}_firms", getattr(tarski, f"stable_{other}_firms"))
+    report = verify_lattice(m)
+    assert not report.ok
+    assert [k for k, v in report.to_json()["flags"].items() if not v] == [f"tarski_{op}_agrees"]
+    assert report.problems == [
+        f"operator {op} differs from oracle for pair ({i},{j})" for i, j in EXAMPLE1_PAIRS if i != j
+    ]
+
+
+@pytest.mark.parametrize("op", ["join", "meet"])
+def test_verify_lattice_reports_missing_bounds(example1, monkeypatch, op):
+    """An oracle that finds no bound fails both orders' existence, the operator and duality."""
+    m, _ = example1
+    monkeypatch.setattr(oracle, f"brute_{op}", lambda *args: None)
+    report = verify_lattice(m)
+    assert not report.ok
+    assert [k for k, v in report.to_json()["flags"].items() if not v] == [
+        f"firm_{op}s_exist", f"worker_{op}s_exist", f"tarski_{op}_agrees", "duality_holds"
+    ]
+    assert report.problems == [
+        problem
+        for i, j in EXAMPLE1_PAIRS
+        for problem in (
+            f"no firm-order {op} for stable pair ({i},{j})",
+            f"operator {op} differs from oracle for pair ({i},{j})",
+            f"duality broken on pair ({i},{j})",
+        )
+    ]
+
+
+def test_extremal_stable_reports_a_wrong_fixed_point(example1, monkeypatch):
+    m, named = example1
+    monkeypatch.setattr(
+        tarski, "iterate_to_fixed_point", lambda m, mu, side, check=True: OperatorTrace(side, (mu, named["mu_under"]))
+    )
+    result = extremal_stable(m, "firms")
+    assert result.matching == named["mu_under"] != named["mu_star"]
+    assert (result.verified_optimal, result.note) == (False, "fixed point differs from the oracle's optimum")
+
+
+@pytest.mark.parametrize(
+    "name,stub,note",
+    [
+        ("enumerate_stable", lambda m, budget: [], "oracle found no stable matchings"),
+        ("brute_join", lambda *args: None, "stable set has no pairwise join"),
+    ],
+)
+def test_extremal_stable_reports_an_oracle_without_an_optimum(example1, monkeypatch, name, stub, note):
+    m, named = example1
+    monkeypatch.setattr(oracle, name, stub)
+    result = extremal_stable(m, "firms")
+    assert result.matching == named["mu_star"]
+    assert (result.verified_optimal, result.note) == (False, note)
 
 
 def test_example2_quasi_stable_counts(example2):

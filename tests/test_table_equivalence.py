@@ -185,9 +185,11 @@ def test_many_to_one_worker_quasi_stability_at_scale():
 def test_walk_tables_follow_any_sequence_of_edge_sets(variant, kind):
     """One walk's steps over unrelated edge sets equal fresh per-pair steps.
 
-    The tables are patched from each input to the next, whatever the two
-    are; some inputs are not matchings of the market or name agents outside
-    it.  A step whose agents all keep what they hold returns its input.
+    The walk serves only its own output: an input that is not the last
+    step's output is re-evaluated in full, as a fresh walk would, and an
+    input that is starts from the tables.  Some inputs are not matchings of
+    the market or name agents outside it.  A step whose agents all keep
+    what they hold returns its input.
     """
     rng = random.Random(f"sequence/{variant}/{kind}")
     spec = RandomMarketSpec(variant=variant, n_firms=4, n_workers=5, firm_kind=kind, worker_kind=kind)

@@ -37,6 +37,10 @@ from matchlattice import (
     worker_order_geq,
 )
 from matchlattice import tarski
+from matchlattice.market import ChoiceFunction
+from matchlattice.tarski import iteration_cap
+
+import reference_operators as ref
 
 
 def tiny_market(firm_lists, worker_orders):
@@ -232,6 +236,40 @@ def test_non_substitutable_market_diagnosed():
     )
     with pytest.raises(NonConvergence):
         iterate_to_fixed_point(m, Matching.empty(), "workers", check=False)
+
+
+class SizeQuotaChoice(ChoiceFunction):
+    """The lowest-numbered worker out of an odd offer, the lowest two out of an even one.
+
+    Not consistent: ``{w1}`` is chosen out of ``{w1, w2, w3}``, but both out
+    of ``{w1, w2}`` between them.
+    """
+
+    def _choose(self, s):
+        return frozenset(sorted(s, key=lambda a: int(a[1:]))[: 2 - len(s) % 2])
+
+    def rebased(self, ground):
+        return SizeQuotaChoice(ground)
+
+
+@pytest.mark.parametrize(
+    "seed,start", [(118, []), (0, [("f1", "w4"), ("f3", "w3")]), (1, [("f1", "w2"), ("f3", "w4")])]
+)
+def test_step_that_fails_to_improve_is_nonconvergence(seed, start):
+    """A firm that is not consistent drops part of its new row once its old row is offered too.
+
+    Found by search over seeded 3x4 markets with f1's choice replaced,
+    frozen.  The per-pair walk stops on the same step.
+    """
+    base = random_market(seed, RandomMarketSpec("many_to_one", 3, 4))
+    firms = {f: base.firm_choice(f) for f in base.firm_ids}
+    firms["f1"] = SizeQuotaChoice(base.worker_ids)
+    m = Market("many_to_one", firms, worker_prefs=base.worker_prefs)
+    mu = Matching(start)
+    with pytest.raises(NonConvergence, match="^step failed to improve$"):
+        ref.iterate_to_fixed_point(m, mu, "firms", iteration_cap(m))
+    with pytest.raises(NonConvergence, match="^operator step failed to improve its side's order; "):
+        iterate_to_fixed_point(m, mu, "firms", check=False)
 
 
 # -- joins and meets -------------------------------------------------------------------
