@@ -39,7 +39,8 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    # Malformed JSON, bytes that are not UTF-8, or nesting past the decoder's depth.
+    except (ValueError, RecursionError) as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from e
 
 
@@ -104,8 +105,6 @@ def _cmd_validate(args) -> int:
         assume_substitutable=args.assume_substitutable,
     )
     lines = ["validation: " + ("pass" if report.ok else "FAIL")]
-    for msg in report.referential:
-        lines.append(f"  referential: {msg}")
     for agent, reports in report.agents.items():
         bad = [r for r in reports if not r.ok]
         for r in bad:

@@ -345,6 +345,13 @@ def _quota_linear_from_json(obj, what: str) -> QuotaLinearChoice:
     return QuotaLinearChoice(_order_from_json(obj, what), _quota_from_json(obj, what))
 
 
+def _within(c: ChoiceFunction, ids: frozenset[AgentId], who: str, others: str) -> ChoiceFunction:
+    """``c`` over all of ``ids``; :class:`ReferentialIntegrity` unless they hold its ground set."""
+    if not c.ground <= ids:
+        raise ReferentialIntegrity(f"{who} references unknown {others}: {sort_agents(c.ground - ids)}")
+    return c.rebased(ids)
+
+
 class Market:
     """A two-sided market, fixed after construction.
 
@@ -368,7 +375,7 @@ class Market:
         self.variant = variant
         self.firm_ids: tuple[AgentId, ...] = tuple(sort_agents(firms))
         if variant == "many_to_one":
-            if worker_prefs is None or worker_choices is not None:
+            if worker_prefs is None or worker_quotas is not None or worker_choices is not None:
                 raise SchemaError("many_to_one markets take worker_prefs only")
             worker_quotas = {w: 1 for w in worker_prefs}
         elif variant == "many_to_many_responsive":
@@ -380,7 +387,7 @@ class Market:
                 if q < 1:
                     raise SchemaError(f"worker {w}: quota must be >= 1")
         else:
-            if worker_choices is None or worker_prefs is not None:
+            if worker_choices is None or worker_prefs is not None or worker_quotas is not None:
                 raise SchemaError("substitutable markets take worker_choices only")
         self.worker_ids: tuple[AgentId, ...] = tuple(
             sort_agents(worker_prefs if worker_prefs is not None else worker_choices)
@@ -390,38 +397,19 @@ class Market:
 
         fset = frozenset(self.firm_ids)
         wset = frozenset(self.worker_ids)
-        self._firm_choices: dict[AgentId, ChoiceFunction] = {}
-        for f in self.firm_ids:
-            c = firms[f]
-            if not c.ground <= wset:
-                raise ReferentialIntegrity(
-                    f"firm {f} references unknown workers: {sort_agents(c.ground - wset)}"
-                )
-            self._firm_choices[f] = c.rebased(wset)
-
+        self._firm_choices: dict[AgentId, ChoiceFunction] = {
+            f: _within(firms[f], wset, f"firm {f}", "workers") for f in self.firm_ids
+        }
         self.worker_prefs: dict[AgentId, LinearPref] = {}
         self.worker_quotas: dict[AgentId, int] = {}
         self._worker_choices: dict[AgentId, ChoiceFunction] = {}
-        if variant == "many_to_many_sub":
-            for w in self.worker_ids:
+        for w in self.worker_ids:
+            if variant == "many_to_many_sub":
                 c = worker_choices[w]
-                if not c.ground <= fset:
-                    raise ReferentialIntegrity(
-                        f"worker {w} references unknown firms: {sort_agents(c.ground - fset)}"
-                    )
-                self._worker_choices[w] = c.rebased(fset)
-        else:
-            for w in self.worker_ids:
-                pref = worker_prefs[w]
-                unknown = set(pref.order) - fset
-                if unknown:
-                    raise ReferentialIntegrity(
-                        f"worker {w} references unknown firms: {sort_agents(unknown)}"
-                    )
-                q = worker_quotas[w]
-                self.worker_prefs[w] = pref
-                self.worker_quotas[w] = q
-                self._worker_choices[w] = QuotaLinearChoice(pref.order, q, fset)
+            else:
+                self.worker_prefs[w], self.worker_quotas[w] = worker_prefs[w], worker_quotas[w]
+                c = QuotaLinearChoice(worker_prefs[w].order, worker_quotas[w])
+            self._worker_choices[w] = _within(c, fset, f"worker {w}", "firms")
 
         # The iteration cap's input, read on every walk.
         lengths = [c.list_length for c in self._firm_choices.values()]

@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import prod
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 from .errors import BudgetExceeded, GenerationFailed, SchemaError
 from .market import (
@@ -296,7 +296,16 @@ def brute_meet(
 
 @dataclass
 class LatticeReport:
-    """Everything the exhaustive lattice verification looked at."""
+    """Everything the exhaustive lattice verification looked at.
+
+    A pair that fails a check clears its flag; ``ok`` and the JSON ``flags``
+    read the flags :attr:`CHECKS` names, in field order.
+    """
+
+    CHECKS: ClassVar[tuple[str, ...]] = (
+        "firm_joins_exist", "firm_meets_exist", "worker_joins_exist", "worker_meets_exist",
+        "tarski_join_agrees", "tarski_meet_agrees", "duality_holds",
+    )
 
     stable_count: int
     pairs_checked: int = 0
@@ -313,30 +322,14 @@ class LatticeReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.firm_joins_exist
-            and self.firm_meets_exist
-            and self.worker_joins_exist
-            and self.worker_meets_exist
-            and self.tarski_join_agrees
-            and self.tarski_meet_agrees
-            and self.duality_holds
-        )
+        return all(getattr(self, name) for name in self.CHECKS)
 
     def to_json(self) -> dict:
         return {
             "ok": self.ok,
             "stable_count": self.stable_count,
             "pairs_checked": self.pairs_checked,
-            "flags": {
-                "firm_joins_exist": self.firm_joins_exist,
-                "firm_meets_exist": self.firm_meets_exist,
-                "worker_joins_exist": self.worker_joins_exist,
-                "worker_meets_exist": self.worker_meets_exist,
-                "tarski_join_agrees": self.tarski_join_agrees,
-                "tarski_meet_agrees": self.tarski_meet_agrees,
-                "duality_holds": self.duality_holds,
-            },
+            "flags": {name: getattr(self, name) for name in self.CHECKS},
             "join_table": [[i, j, k] for (i, j), k in sorted(self.join_table.items())],
             "meet_table": [[i, j, k] for (i, j), k in sorted(self.meet_table.items())],
             "problems": self.problems,

@@ -37,7 +37,6 @@ class ReplicaMap:
     """Bookkeeping between base workers and their replicas."""
 
     base_workers: tuple[AgentId, ...]
-    quotas: dict[AgentId, int]
     replicas: tuple[AgentId, ...]
     base_of: dict[AgentId, AgentId]
     index_of: dict[AgentId, int]
@@ -57,7 +56,7 @@ class ReplicaMap:
             for t, r in enumerate(mine, start=1):
                 base_of[r] = w
                 index_of[r] = t
-        return ReplicaMap(base, dict(quotas), tuple(replicas), base_of, index_of, replicas_of)
+        return ReplicaMap(base, tuple(replicas), base_of, index_of, replicas_of)
 
     def project(self, replicas) -> frozenset[AgentId]:
         return frozenset(self.base_of[r] for r in replicas)

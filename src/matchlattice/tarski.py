@@ -250,7 +250,11 @@ class _Walk:
         return out
 
     def advance(self, mu: Matching) -> Matching:
-        """One operator application to ``mu``; ``mu`` itself when nobody moves."""
+        """One operator application to ``mu``; ``mu`` itself when nobody moves.
+
+        Any edge set but ``out`` is rebuilt from its ``side`` agents' rows,
+        and ``mu`` stands in for a rebuild equal to it.
+        """
         direct = mu is self.out
         choice_of, view, _ = _agents(self.m, mu, self.side)
         rechoose = self._refresh(mu, direct)
@@ -262,16 +266,14 @@ class _Walk:
                 movers.discard(a)
             else:
                 movers.add(a)
-        # With nobody moving the rows are ``mu``, unless ``mu`` has edges at
-        # agents outside the market.
-        if not direct and (movers or sum(map(len, choices.values())) != len(mu)):
+        if not direct:
             out = _from_rows(self.m, self.side, choices.items())
+            if out == mu:
+                out = mu
         elif movers:
             out = mu._patched(self.side, {a: choices[a] for a in movers})
             out.validate_for(self.m)
         else:
-            if not direct:
-                mu.validate_for(self.m)
             out = mu
         self.out = out
         return out
@@ -500,14 +502,6 @@ class ExtremalResult:
     trace: OperatorTrace
     verified_optimal: bool | None
     note: str
-
-    def to_json(self, m: Market) -> dict:
-        return {
-            "matching": self.matching.to_json(),
-            "steps": self.trace.steps,
-            "verified_optimal": self.verified_optimal,
-            "note": self.note,
-        }
 
 
 def extremal_stable(m: Market, side: str, verify: bool = True, budget=None) -> ExtremalResult:

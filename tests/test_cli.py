@@ -213,6 +213,14 @@ def test_enumerate_lines(capsys):
     assert any(row["stable"] for row in lines)
 
 
+def test_enumerate_json_ends_with_a_count(capsys):
+    """Under ``--format json`` the stream of rows ends with one summary object that counts them."""
+    code, out, _ = run(capsys, "enumerate", "random:many_to_one:3x3", "--seed", "7", "--format", "json")
+    *rows, summary = out.splitlines()
+    assert code == 0 and rows == cli_transcripts.enumerate_path("many_to_one_3x3").read_text().splitlines()
+    assert summary == '{"ok": true, "result": {"count": %d}, "error": null}' % len(rows)
+
+
 def test_verify_lattice_command(capsys, asset_files):
     code, out, _ = run(capsys, "verify-lattice", asset_files["market"], "--format", "json")
     assert code == 0
@@ -261,6 +269,31 @@ def test_parse_error_exit_code(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run(capsys, "validate", bad)
     assert code == 1 and "ParseError" in err
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b"\xff\xfe{", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf8", "nested-200000-deep"],
+)
+def test_undecodable_json_is_a_parse_error(capsys, tmp_path, content, reason):
+    """A file the JSON reader cannot decode exits 1 with one error line, not a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, "validate", bad)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error (ParseError): {bad} is not valid JSON: {reason}")
+    assert len(err.splitlines()) == 1
+
+
+def test_unreadable_path_is_a_parse_error(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "validate", missing)
+    assert (code, out) == (1, "")
+    assert err == f"error (ParseError): cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_matching_schema_error(capsys, asset_files, tmp_path):

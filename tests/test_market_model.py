@@ -590,6 +590,94 @@ def test_linear_worker_rejects_a_quota(variant):
         Market.from_json(spec)
 
 
+_FIRMS = {"f1": QuotaLinearChoice(["w1"])}
+_PREFS = {"w1": LinearPref(["f1"])}
+_CHOICES = {"w1": QuotaLinearChoice(["f1"])}
+_SUB = Market("many_to_many_sub", _FIRMS, worker_choices=_CHOICES)
+_ONE = Market("many_to_one", _FIRMS, worker_prefs=_PREFS)
+_WORKER_KINDS = "kind must be 'linear', 'linear_quota', 'set_list' or 'quota_linear'"
+
+
+def _from_json(variant="many_to_one", firm=None, worker=None):
+    firm = firm or {"kind": "quota_linear", "order": ["w1"]}
+    worker = worker or {"kind": "linear", "order": ["f1"]}
+    return lambda: Market.from_json({"variant": variant, "firms": {"f1": firm}, "workers": {"w1": worker}})
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: SetListChoice([["w1", "w9"]], ground=["w1"]), ReferentialIntegrity,
+         "set-list references ids outside the ground set: ['w9']"),
+        (lambda: QuotaLinearChoice(["w9", "w1"], ground=["w1"]), ReferentialIntegrity,
+         "order references ids outside the ground set: ['w9']"),
+        (lambda: QuotaLinearChoice(["w1", "w1"]), SchemaError, "order must not repeat ids"),
+        (lambda: LinearPref(["f1", "f1"]), SchemaError, "preference order must not repeat ids"),
+        (lambda: QuotaLinearChoice(["w1"], 0), SchemaError, "quota must be >= 1"),
+        (lambda: Market("one_to_one", _FIRMS, worker_prefs=_PREFS), SchemaError,
+         "unknown market variant 'one_to_one'"),
+        (lambda: Market("many_to_one", _FIRMS), SchemaError, "many_to_one markets take worker_prefs only"),
+        (lambda: Market("many_to_one", _FIRMS, worker_prefs=_PREFS, worker_choices=_CHOICES), SchemaError,
+         "many_to_one markets take worker_prefs only"),
+        (lambda: Market("many_to_many_responsive", _FIRMS, worker_prefs=_PREFS), SchemaError,
+         "responsive markets take worker_prefs and worker_quotas"),
+        (lambda: Market("many_to_many_responsive", _FIRMS, worker_prefs=_PREFS, worker_quotas={"w2": 1}),
+         SchemaError, "worker_prefs and worker_quotas must cover the same workers"),
+        (lambda: Market("many_to_many_responsive", _FIRMS, worker_prefs=_PREFS, worker_quotas={"w1": 0}),
+         SchemaError, "worker w1: quota must be >= 1"),
+        (lambda: Market("many_to_many_sub", _FIRMS), SchemaError, "substitutable markets take worker_choices only"),
+        (lambda: Market("many_to_many_sub", _FIRMS, worker_prefs=_PREFS, worker_choices=_CHOICES), SchemaError,
+         "substitutable markets take worker_choices only"),
+        (lambda: Market("many_to_one", {"w1": QuotaLinearChoice([])}, worker_prefs={"w1": LinearPref([])}),
+         SchemaError, "firm and worker ids must be disjoint"),
+        (lambda: Market("many_to_one", {"f1": SetListChoice([["w1"], ["w9", "w8"]])}, worker_prefs=_PREFS),
+         ReferentialIntegrity, "firm f1 references unknown workers: ['w8', 'w9']"),
+        (lambda: Market("many_to_many_sub", _FIRMS, worker_choices={"w1": SetListChoice([["f9"]])}),
+         ReferentialIntegrity, "worker w1 references unknown firms: ['f9']"),
+        (lambda: Market("many_to_one", _FIRMS, worker_prefs={"w1": LinearPref(["f9", "f1", "f10"])}),
+         ReferentialIntegrity, "worker w1 references unknown firms: ['f9', 'f10']"),
+        (lambda: _SUB.worker_pref("w1"), SchemaError, "substitutable markets have no worker linear orders"),
+        (lambda: _ONE.worker_pref("w9"), UnknownAgent, "no worker 'w9' in market"),
+        (lambda: _SUB.worker_quota("w1"), SchemaError, "substitutable markets have no worker quotas"),
+        (lambda: Market.from_json([]), SchemaError, "market must be a JSON object"),
+        (_from_json("one_to_one"), SchemaError,
+         "variant must be one of ('many_to_one', 'many_to_many_responsive', 'many_to_many_sub'), got 'one_to_one'"),
+        (lambda: Market.from_json({"variant": "many_to_one", "firms": [], "workers": {}}), SchemaError,
+         "'firms' and 'workers' must be objects"),
+        (_from_json(firm={"kind": "linear"}), SchemaError, "firm f1: kind must be 'set_list' or 'quota_linear'"),
+        (_from_json(firm={"kind": "set_list", "list": ["w1"]}), SchemaError,
+         "firm f1: 'list' must be a list of id lists"),
+        (_from_json(worker=["f1"]), SchemaError, f"worker w1: {_WORKER_KINDS}"),
+        (_from_json(worker={"kind": "quota_linear", "order": ["f1"]}), SchemaError,
+         "many_to_one workers must all have kind 'linear'"),
+        (_from_json("many_to_many_responsive", worker={"kind": "set_list", "list": [["f1"]]}), SchemaError,
+         "responsive workers must have kind 'linear_quota' (or 'linear')"),
+        (_from_json("many_to_many_sub"), SchemaError,
+         "substitutable workers must have kind 'set_list' or 'quota_linear'"),
+        (lambda: build_related_market(random_market(1, RandomMarketSpec("many_to_many_responsive"))).market.to_json(),
+         SchemaError, "cannot encode a QExtensionChoice in the market schema"),
+    ],
+)
+def test_market_refusals(build, error, message):
+    """Each refusal that only outside input reaches: its type and its exact message."""
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "variant, workers",
+    [("many_to_one", {"worker_prefs": _PREFS}), ("many_to_many_sub", {"worker_choices": _CHOICES})],
+)
+def test_quotas_are_refused_where_the_variant_has_none(variant, workers):
+    """A quota would be dropped silently, so it is refused with the variant's message."""
+    message = "many_to_one markets take worker_prefs only" if variant == "many_to_one" else (
+        "substitutable markets take worker_choices only"
+    )
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        Market(variant, _FIRMS, worker_quotas={"w1": 3}, **workers)
+
+
 def test_worker_choice_is_top_quota_of_order(example1):
     m, _ = example1
     c = m.worker_choice("w5")  # order f1 > f5 > f4, quota 1

@@ -61,6 +61,21 @@ def test_matching_json_round_trip():
     assert Matching.from_json({"assignments": {}}) == Matching.empty()
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"f1": ["w1"]}, "matching must be an object with an 'assignments' map"),
+        ({"assignments": [["f1", "w1"]]}, "matching must be an object with an 'assignments' map"),
+        ({"assignments": {"f1": "w1"}}, "assignments for f1 must be a list of worker ids"),
+        ({"assignments": {"f1": ["w1", "w1"]}}, "assignments for f1 repeat a worker"),
+    ],
+)
+def test_matching_json_refusals(obj, message):
+    with pytest.raises(SchemaError) as caught:
+        Matching.from_json(obj)
+    assert str(caught.value) == message
+
+
 def test_matching_variant_constraints(example1):
     m, _ = example1
     two_jobs = Matching([("f1", "w1"), ("f2", "w1")])

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from dataclasses import fields
 from functools import cache
 
 import pytest
@@ -265,6 +266,13 @@ def test_brute_bounds_follow_each_order_tag(variant, tag):
             assert join is not None and meet is not None  # the stable set is a lattice
 
 
+def test_order_geq_refuses_an_unknown_tag(example1):
+    m, named = example1
+    with pytest.raises(ValueError) as caught:
+        oracle.order_geq(m, "blair", named["mu_under"], named["mu_over"])
+    assert str(caught.value) == "unknown order tag 'blair'"
+
+
 def test_verify_lattice_example1(example1):
     m, _ = example1
     report = verify_lattice(m)
@@ -275,6 +283,13 @@ def test_verify_lattice_example1(example1):
     # join/meet tables index into the enumerated stable set
     for i, j, k in payload["join_table"]:
         assert 0 <= k < report.stable_count
+
+
+def test_lattice_checks_are_the_flag_fields_in_field_order():
+    """``ok`` and the JSON flags read ``CHECKS``; it must name every flag field, in order."""
+    names = [f.name for f in fields(oracle.LatticeReport)]
+    checks = list(oracle.LatticeReport.CHECKS)
+    assert names == ["stable_count", "pairs_checked", *checks, "join_table", "meet_table", "problems"]
 
 
 def test_verify_lattice_single_stable_market():
@@ -329,6 +344,15 @@ def test_verify_lattice_reports_missing_bounds(example1, monkeypatch, op):
             f"duality broken on pair ({i},{j})",
         )
     ]
+
+
+@pytest.mark.parametrize("side", ["firms", "workers"])
+def test_extremal_stable_without_verification(example1, side):
+    """``verify=False`` returns the same fixed point and trace with no claim about optimality."""
+    m, _ = example1
+    checked, unchecked = extremal_stable(m, side), extremal_stable(m, side, verify=False)
+    assert (unchecked.matching, unchecked.trace) == (checked.matching, checked.trace)
+    assert (unchecked.verified_optimal, unchecked.note) == (None, "verification skipped")
 
 
 def test_extremal_stable_reports_a_wrong_fixed_point(example1, monkeypatch):

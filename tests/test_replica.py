@@ -3,6 +3,7 @@
 import pytest
 
 from matchlattice import (
+    CapExceeded,
     LinearPref,
     Market,
     Matching,
@@ -19,14 +20,17 @@ from matchlattice import (
     lifted_join_firms,
     lifted_join_workers,
     lifted_meet_firms,
+    lifted_meet_workers,
     phi,
     phi_inverse_stable,
     phi_preimage,
     q_extended_choose,
     random_market,
     RandomMarketSpec,
+    SchemaError,
     validate_market,
 )
+from matchlattice.market import ChoiceFunction
 from matchlattice.replica import ReplicaMap, as_set_list, related_market_to_json
 
 
@@ -233,6 +237,7 @@ def test_lifted_operations_match_oracle():
                 assert join == brute_join(m, "blair_firms", a, b, stable)
                 assert meet == brute_meet(m, "blair_firms", a, b, stable)
                 assert lifted_join_workers(rm, a, b) == meet
+                assert lifted_meet_workers(rm, a, b) == join
                 assert join == lifted_join_firms(rm, b, a)
         for a in stable:
             assert lifted_join_firms(rm, a, a) == a
@@ -265,6 +270,42 @@ def test_as_set_list_reproduces_lazy_choice():
             for combo in combinations(replicas, r):
                 s = frozenset(combo)
                 assert materialised.choose(s) == lazy.choose(s)
+
+
+class _Table(ChoiceFunction):
+    """A choice read off an explicit table of the subsets of its ground set."""
+
+    def __init__(self, table):
+        super().__init__(frozenset().union(*table))
+        self.table = {frozenset(s): frozenset(c) for s, c in table.items()}
+
+    def _choose(self, s):
+        return self.table[s]
+
+
+@pytest.mark.parametrize(
+    "choice, error, message",
+    [
+        (QuotaLinearChoice([f"w{i}" for i in range(15)]), CapExceeded, "cannot materialise over 15 elements (cap 14)"),
+        # Each of x, y, z is chosen over the one before it: no set comes first.
+        (
+            _Table({"": "", "x": "x", "y": "y", "z": "z", "xy": "y", "yz": "z", "xz": "x", "xyz": "x"}),
+            SchemaError,
+            "choice function is not path independent; no set-list form",
+        ),
+        # x and y are each chosen alone but neither from both: first fit picks x.
+        (
+            _Table({"": "", "x": "x", "y": "y", "xy": ""}),
+            SchemaError,
+            "choice function is not path independent; no set-list form",
+        ),
+    ],
+    ids=["cap", "no-first-set", "first-fit-differs"],
+)
+def test_as_set_list_refusals(choice, error, message):
+    with pytest.raises(error) as caught:
+        as_set_list(choice)
+    assert str(caught.value) == message
 
 
 def test_related_market_json_emission():
