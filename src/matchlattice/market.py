@@ -345,11 +345,10 @@ def _quota_linear_from_json(obj, what: str) -> QuotaLinearChoice:
     return QuotaLinearChoice(_order_from_json(obj, what), _quota_from_json(obj, what))
 
 
-def _within(c: ChoiceFunction, ids: frozenset[AgentId], who: str, others: str) -> ChoiceFunction:
-    """``c`` over all of ``ids``; :class:`ReferentialIntegrity` unless they hold its ground set."""
-    if not c.ground <= ids:
-        raise ReferentialIntegrity(f"{who} references unknown {others}: {sort_agents(c.ground - ids)}")
-    return c.rebased(ids)
+def _within(named: Iterable[AgentId], ids: frozenset[AgentId], who: str, others: str) -> None:
+    """Raise :class:`ReferentialIntegrity` unless ``ids`` hold every id ``who`` names."""
+    if not ids.issuperset(named):
+        raise ReferentialIntegrity(f"{who} references unknown {others}: {sort_agents(set(named) - ids)}")
 
 
 class Market:
@@ -397,19 +396,24 @@ class Market:
 
         fset = frozenset(self.firm_ids)
         wset = frozenset(self.worker_ids)
-        self._firm_choices: dict[AgentId, ChoiceFunction] = {
-            f: _within(firms[f], wset, f"firm {f}", "workers") for f in self.firm_ids
-        }
+        self._firm_choices: dict[AgentId, ChoiceFunction] = {}
+        for f in self.firm_ids:
+            _within(firms[f].ground, wset, f"firm {f}", "workers")
+            self._firm_choices[f] = firms[f].rebased(wset)
         self.worker_prefs: dict[AgentId, LinearPref] = {}
         self.worker_quotas: dict[AgentId, int] = {}
         self._worker_choices: dict[AgentId, ChoiceFunction] = {}
         for w in self.worker_ids:
             if variant == "many_to_many_sub":
                 c = worker_choices[w]
+                _within(c.ground, fset, f"worker {w}", "firms")
+                c = c.rebased(fset)
             else:
-                self.worker_prefs[w], self.worker_quotas[w] = worker_prefs[w], worker_quotas[w]
-                c = QuotaLinearChoice(worker_prefs[w].order, worker_quotas[w])
-            self._worker_choices[w] = _within(c, fset, f"worker {w}", "firms")
+                pref, quota = worker_prefs[w], worker_quotas[w]
+                self.worker_prefs[w], self.worker_quotas[w] = pref, quota
+                _within(pref.order, fset, f"worker {w}", "firms")
+                c = QuotaLinearChoice(pref.order, quota, fset)
+            self._worker_choices[w] = c
 
         # The iteration cap's input, read on every walk.
         lengths = [c.list_length for c in self._firm_choices.values()]
@@ -443,7 +447,10 @@ class Market:
     def worker_quota(self, w: AgentId) -> int:
         if self.variant == "many_to_many_sub":
             raise SchemaError("substitutable markets have no worker quotas")
-        return self.worker_quotas[w]
+        try:
+            return self.worker_quotas[w]
+        except KeyError:
+            raise UnknownAgent(f"no worker {w!r} in market") from None
 
     def __repr__(self):
         return (

@@ -11,20 +11,19 @@ two markets are in order-preserving bijection through the bundling map
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CapExceeded, NotStable, PreimageNotStable, SchemaError
 from .market import (
     AgentId,
     ChoiceFunction,
-    LinearPref,
     SUBSET_CAP,
     Market,
     SetListChoice,
     _subsets,
     sort_agents,
 )
-from .matching import Matching, blair_geq_firms, is_stable
+from .matching import Matching, _stable_tables, blair_geq_firms, is_stable
 from . import tarski
 
 
@@ -41,6 +40,11 @@ class ReplicaMap:
     base_of: dict[AgentId, AgentId]
     index_of: dict[AgentId, int]
     replicas_of: dict[AgentId, tuple[AgentId, ...]]
+    # Each replica's (worker, index), read once per replica by the choice kernels.
+    _split: dict[AgentId, tuple[AgentId, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_split", {r: (w, self.index_of[r]) for r, w in self.base_of.items()})
 
     @staticmethod
     def build(workers, quotas) -> "ReplicaMap":
@@ -67,7 +71,8 @@ class QExtensionChoice(ChoiceFunction):
 
     Evaluated per query, never materialised: the chosen workers are
     ``base.choose(project(S))`` and each is represented by its lowest-index
-    replica present in ``S``.
+    replica present in ``S``.  An offer inside the ground set projects into
+    the base's, so the kernels call the base's kernels directly.
     """
 
     _contracts = True
@@ -78,29 +83,30 @@ class QExtensionChoice(ChoiceFunction):
         self.rmap = rmap
 
     def _choose(self, s: frozenset[AgentId]) -> frozenset[AgentId]:
-        lowest: dict[AgentId, AgentId] = {}
+        split = self.rmap._split
+        lowest: dict[AgentId, tuple[int, AgentId]] = {}
         for r in s:
-            w = self.rmap.base_of[r]
+            w, t = split[r]
             best = lowest.get(w)
-            if best is None or self.rmap.index_of[r] < self.rmap.index_of[best]:
-                lowest[w] = r
-        chosen = self.base.choose(frozenset(lowest))
-        return frozenset(lowest[w] for w in chosen)
+            if best is None or t < best[0]:
+                lowest[w] = (t, r)
+        chosen = self.base._choose(frozenset(lowest))
+        return frozenset([lowest[w][1] for w in chosen])
 
     def _accepting(self, held: frozenset[AgentId]) -> frozenset[AgentId]:
         # Replica w#t joins held iff the base choice accepts w next to the
         # held workers and no lower-index replica of w is held to outrank it.
+        split, replicas_of = self.rmap._split, self.rmap.replicas_of
         lowest: dict[AgentId, int] = {}
         for r in held:
-            w = self.rmap.base_of[r]
-            t = self.rmap.index_of[r]
+            w, t = split[r]
             if t < lowest.get(w, t + 1):
                 lowest[w] = t
         out = []
-        for w in self.base.accepting(lowest.keys()):
-            mine = self.rmap.replicas_of[w]
+        for w in self.base._accepting(frozenset(lowest)):
+            mine = replicas_of[w]
             out.extend(mine[: lowest.get(w, len(mine))])
-        return self.ground.intersection(out)
+        return frozenset(out)
 
     @property
     def list_length(self) -> int:
@@ -131,9 +137,11 @@ def build_related_market(m: Market) -> RelatedMarket:
     """Replicate workers by quota and extend firm choices to replicas."""
     if m.variant != "many_to_many_responsive":
         raise SchemaError("related markets are built from responsive many-to-many markets")
-    rmap = ReplicaMap.build(m.worker_ids, {w: m.worker_quota(w) for w in m.worker_ids})
-    firms = {f: QExtensionChoice(m.firm_choice(f), rmap) for f in m.firm_ids}
-    prefs = {r: LinearPref(m.worker_pref(rmap.base_of[r]).order) for r in rmap.replicas}
+    rmap = ReplicaMap.build(m.worker_ids, m.worker_quotas)
+    replicas = frozenset(rmap.replicas)
+    firms = {f: QExtensionChoice(m.firm_choice(f), rmap, replicas) for f in m.firm_ids}
+    # A replica carries its worker's order: each shares the worker's LinearPref.
+    prefs = {r: m.worker_prefs[w] for w in rmap.base_workers for r in rmap.replicas_of[w]}
     derived = Market("many_to_one", firms, worker_prefs=prefs)
     return RelatedMarket(m, derived, rmap)
 
@@ -141,7 +149,8 @@ def build_related_market(m: Market) -> RelatedMarket:
 def phi(rm: RelatedMarket, mu: Matching) -> Matching:
     """Bundle replica assignments back into a many-to-many matching."""
     mu.validate_for(rm.market)
-    out = Matching((f, rm.rmap.base_of[r]) for f, r in mu.edges)
+    project = rm.rmap.project
+    out = Matching._from_view([(f, project(rs)) for f, rs in mu._by_firm.items()], "firms")
     out.validate_for(rm.source)
     return out
 
@@ -154,27 +163,29 @@ def phi_preimage(rm: RelatedMarket, nu: Matching) -> Matching:
     ``nu`` again, which witnesses surjectivity.
     """
     nu.validate_for(rm.source)
-    edges = []
-    for w in rm.rmap.base_workers:
-        pref = rm.source.worker_pref(w)
-        held = sorted(nu.of_worker(w), key=pref.rank)
-        for t, f in enumerate(held, start=1):
-            edges.append((f, replica_id(w, t)))
-    out = Matching(edges)
+    rows = []
+    for w, held in nu._by_worker.items():
+        best_first = sorted(held, key=rm.source.worker_pref(w).rank)
+        rows.extend((r, frozenset((f,))) for r, f in zip(rm.rmap.replicas_of[w], best_first))
+    out = Matching._from_view(rows, "workers")
     out.validate_for(rm.market)
     return out
+
+
+_NOT_STABLE = "phi_inverse_stable requires a stable matching of the source market"
+_PREIMAGE_NOT_STABLE = (
+    "canonical preimage is not stable in the related market; "
+    "this indicates a stability bug in the source market"
+)
 
 
 def phi_inverse_stable(rm: RelatedMarket, nu: Matching) -> Matching:
     """The unique stable preimage of a stable many-to-many matching."""
     if not is_stable(rm.source, nu):
-        raise NotStable("phi_inverse_stable requires a stable matching of the source market")
+        raise NotStable(_NOT_STABLE)
     mu = phi_preimage(rm, nu)
     if not is_stable(rm.market, mu):
-        raise PreimageNotStable(
-            "canonical preimage is not stable in the related market; "
-            "this indicates a stability bug in the source market"
-        )
+        raise PreimageNotStable(_PREIMAGE_NOT_STABLE)
     return mu
 
 
@@ -184,9 +195,32 @@ def blair_geq_firms_q(m: Market, nu: Matching, nu2: Matching) -> bool:
 
 
 def _lifted(rm: RelatedMarket, nu: Matching, nu2: Matching, op) -> Matching:
-    a = phi_inverse_stable(rm, nu)
-    b = phi_inverse_stable(rm, nu2)
-    return phi(rm, op(rm.market, a, b, check=False))
+    """``phi`` of ``op`` on the replica market, applied to both inputs' stable preimages.
+
+    Each input must be a stable matching of the source, as
+    :func:`phi_inverse_stable` requires, and is refused with its error.  One
+    stability pass, through the public ``accepting``, checks ``nu``; the
+    second visits only the agents whose holdings differ from ``nu``'s,
+    unless ``nu2`` names an agent outside the market.  ``op``'s own gate
+    then checks the preimages, which raises :class:`PreimageNotStable`, and
+    its walk reuses the gate's tables.
+    """
+    source = rm.source
+    tables = _stable_tables(source, nu, False)
+    if tables is None:
+        raise NotStable(_NOT_STABLE)
+    a = phi_preimage(rm, nu)  # validates nu, so it can serve as the base
+    inside = nu2._by_firm.keys() <= source._firm_index.keys() and (
+        nu2._by_worker.keys() <= source._worker_index.keys()
+    )
+    if _stable_tables(source, nu2, False, (nu, tables) if inside else None) is None:
+        raise NotStable(_NOT_STABLE)
+    b = phi_preimage(rm, nu2)
+    try:
+        joined = op(rm.market, a, b)
+    except NotStable:
+        raise PreimageNotStable(_PREIMAGE_NOT_STABLE) from None
+    return phi(rm, joined)
 
 
 def lifted_join_firms(rm: RelatedMarket, nu: Matching, nu2: Matching) -> Matching:

@@ -30,7 +30,9 @@ an installed console script can be diffed against it directly:
   witnesses (the second lists 3 of its 10 workers in a set list whose
   path-independence witness is the ninth subset of the ground set);
 * ``replica build`` on ``tests/golden/responsive_market.json``, drawn once
-  as ``random_market(2, RandomMarketSpec("many_to_many_responsive", 3, 4))``.
+  as ``random_market(2, RandomMarketSpec("many_to_many_responsive", 3, 4))``,
+  and ``replica phi-inverse`` on that market and its one stable matching,
+  ``tests/golden/responsive_stable.json``.
 
 Regenerate the goldens (only when an output change is intended) with
 
@@ -231,6 +233,12 @@ def replica_build(fmt: str) -> str:
     return _stdout(["replica", "build", str(GOLDEN / "responsive_market.json"), "--format", fmt])
 
 
+def replica_phi_inverse(fmt: str) -> str:
+    """The stdout of ``replica phi-inverse`` on the same market and its stable matching."""
+    market, matching = GOLDEN / "responsive_market.json", GOLDEN / "responsive_stable.json"
+    return _stdout(["replica", "phi-inverse", str(market), str(matching), "--format", fmt])
+
+
 if __name__ == "__main__":
     for name in sys.argv[1:] or (*VALIDATED, "latin6", "responsive", "enumerate", "union"):
         if name == "union":
@@ -249,6 +257,7 @@ if __name__ == "__main__":
                 output_path("validate", name, fmt).write_text(validate(name, fmt))
             if name == "responsive":
                 output_path("replica-build", name, fmt).write_text(replica_build(fmt))
+                output_path("replica-phi-inverse", name, fmt).write_text(replica_phi_inverse(fmt))
         if name in EXAMPLES:
             golden_path(name).write_text(transcript(name))
             join_meet_path(name).write_text(join_meet(name))

@@ -380,6 +380,13 @@ def test_replica_build_golden_transcripts(fmt):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
+def test_replica_phi_inverse_golden_transcripts(fmt):
+    """The stable replica preimage of the responsive market's stable matching."""
+    golden = cli_transcripts.output_path("replica-phi-inverse", "responsive", fmt).read_text()
+    assert cli_transcripts.replica_phi_inverse(fmt) == golden
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("name", cli_transcripts.LATTICES)
 def test_verify_lattice_golden_transcripts(name, fmt):
     """The oracle's stable counts and join/meet tables, byte for byte."""

@@ -636,9 +636,14 @@ def _from_json(variant="many_to_one", firm=None, worker=None):
          ReferentialIntegrity, "worker w1 references unknown firms: ['f9']"),
         (lambda: Market("many_to_one", _FIRMS, worker_prefs={"w1": LinearPref(["f9", "f1", "f10"])}),
          ReferentialIntegrity, "worker w1 references unknown firms: ['f9', 'f10']"),
+        (lambda: Market("many_to_many_responsive", _FIRMS, worker_prefs={"w1": LinearPref(["f1", "f9"])},
+                        worker_quotas={"w1": 2}),
+         ReferentialIntegrity, "worker w1 references unknown firms: ['f9']"),
         (lambda: _SUB.worker_pref("w1"), SchemaError, "substitutable markets have no worker linear orders"),
         (lambda: _ONE.worker_pref("w9"), UnknownAgent, "no worker 'w9' in market"),
         (lambda: _SUB.worker_quota("w1"), SchemaError, "substitutable markets have no worker quotas"),
+        (lambda: _SUB.worker_quota("w9"), SchemaError, "substitutable markets have no worker quotas"),
+        (lambda: _ONE.worker_quota("w9"), UnknownAgent, "no worker 'w9' in market"),
         (lambda: Market.from_json([]), SchemaError, "market must be a JSON object"),
         (_from_json("one_to_one"), SchemaError,
          "variant must be one of ('many_to_one', 'many_to_many_responsive', 'many_to_many_sub'), got 'one_to_one'"),

@@ -8,6 +8,7 @@ from matchlattice import (
     Market,
     Matching,
     NotStable,
+    PreimageNotStable,
     QuotaLinearChoice,
     SetListChoice,
     blair_geq_firms,
@@ -28,10 +29,11 @@ from matchlattice import (
     random_market,
     RandomMarketSpec,
     SchemaError,
+    UnknownAgent,
     validate_market,
 )
 from matchlattice.market import ChoiceFunction
-from matchlattice.replica import ReplicaMap, as_set_list, related_market_to_json
+from matchlattice.replica import RelatedMarket, ReplicaMap, as_set_list, related_market_to_json
 
 
 @pytest.fixture(scope="module")
@@ -317,3 +319,92 @@ def test_related_market_json_emission():
     assert validate_market(again).ok
     # identical stable sets under the re-encoded choice functions
     assert set(enumerate_stable(again)) == set(enumerate_stable(rm.market))
+
+
+# -- refusals of the lifted operations ------------------------------------------
+
+_NOT_STABLE = "phi_inverse_stable requires a stable matching of the source market"
+_LIFTED = [lifted_join_firms, lifted_meet_firms, lifted_join_workers, lifted_meet_workers]
+
+
+@pytest.fixture(scope="module")
+def golden_responsive():
+    """The hand-built responsive market of the CLI goldens and its one stable matching."""
+    import json
+    from pathlib import Path
+
+    golden = Path(__file__).parent / "golden"
+    m = Market.from_json(json.loads((golden / "responsive_market.json").read_text()))
+    nu = Matching.from_json(json.loads((golden / "responsive_stable.json").read_text()))
+    assert enumerate_stable(m) == [nu]
+    return build_related_market(m), nu
+
+
+def _with(nu, *edges):
+    return Matching([*nu.edges, *edges])
+
+
+@pytest.mark.parametrize("op", _LIFTED, ids=lambda op: op.__name__)
+@pytest.mark.parametrize("position", [0, 1], ids=["first", "second"])
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        # A market firm holds a worker outside the market, and a market worker a firm.
+        (lambda nu: _with(nu, ("f1", "w9")), UnknownAgent, "offered set contains unknown ids: ['w9']"),
+        (lambda nu: _with(nu, ("f9", "w1")), UnknownAgent, "offered set contains unknown ids: ['f9']"),
+        (lambda nu: Matching.empty(), NotStable, _NOT_STABLE),
+        (lambda nu: Matching(e for e in nu.edges if e != ("f2", "w1")), NotStable, _NOT_STABLE),
+        # w4 has quota 1 and would hold f3 and f1.
+        (lambda nu: _with(nu, ("f1", "w4")), NotStable, _NOT_STABLE),
+    ],
+    ids=["foreign-worker", "foreign-firm", "empty", "unstable", "over-quota"],
+)
+def test_lifted_operations_refuse_bad_inputs(golden_responsive, op, position, bad, error, message):
+    """Either input that is not a stable matching of the source market: its type and exact message."""
+    rm, nu = golden_responsive
+    args = [nu, nu]
+    args[position] = bad(nu)
+    with pytest.raises(error) as caught:
+        op(rm, *args)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize("op", _LIFTED, ids=lambda op: op.__name__)
+def test_lifted_operations_refuse_an_unstable_preimage(micro, op):
+    """A related market that is not its source's replica market: the preimage is not stable there."""
+    only = Matching([("f1", "w"), ("f2", "w")])
+    # f1 would also take w#2, who prefers f1 to her f2: a blocking pair.
+    fake = Market(
+        "many_to_one",
+        {"f1": QuotaLinearChoice(["w#1", "w#2"], 2), "f2": QuotaLinearChoice(["w#2"], 1)},
+        worker_prefs={r: LinearPref(("f1", "f2")) for r in ("w#1", "w#2")},
+    )
+    rm = RelatedMarket(micro.source, fake, micro.rmap)
+    assert op(micro, only, only) == only
+    with pytest.raises(PreimageNotStable) as caught:
+        op(rm, only, only)
+    assert str(caught.value) == (
+        "canonical preimage is not stable in the related market; "
+        "this indicates a stability bug in the source market"
+    )
+
+
+def test_lifted_operations_equal_direct_ones_at_mid_scale():
+    """On 32x32 responsive markets drawn like the benchmark's, both routes agree on the extremes.
+
+    Most such draws have one stable matching; seed 8's extremes differ.
+    """
+    from matchlattice import extremal_stable, stable_join_firms, stable_meet_firms
+
+    distinct = 0
+    for seed in (0, 1, 8):
+        spec = RandomMarketSpec("many_to_many_responsive", 32, 32, density=0.5, firm_quota_max=3)
+        m = random_market(seed, spec)
+        rm = build_related_market(m)
+        top = extremal_stable(m, "firms", verify=False).matching
+        bottom = extremal_stable(m, "workers", verify=False).matching
+        for a, b in [(top, bottom), (bottom, top), (top, top), (bottom, bottom)]:
+            assert lifted_join_firms(rm, a, b) == stable_join_firms(m, a, b)
+            assert lifted_meet_firms(rm, a, b) == stable_meet_firms(m, a, b)
+        distinct += top != bottom
+    assert distinct == 1
