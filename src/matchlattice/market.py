@@ -744,13 +744,15 @@ def validate_market(
     4^n direct search for its witness; a note records any skip.  Ground sets
     beyond ``cap`` raise :class:`CapExceeded` unless ``assume_substitutable``
     is set, when the axioms are skipped with a note.  Both caps count the
-    ground set, not the support.
+    ground set, not the support.  A raw object with a schema problem that
+    is not referential raises :class:`SchemaError` as
+    :meth:`Market.from_json` does.
     """
     report = MarketReport(ok=True)
     if not isinstance(source, Market):
         try:
             source = Market.from_json(source)
-        except (ReferentialIntegrity, SchemaError) as e:
+        except ReferentialIntegrity as e:
             report.ok = False
             report.referential.append(str(e))
             return report

@@ -465,12 +465,25 @@ def _join_trace(m: Market, named, side: str, check: bool = True, message: str = 
     ``message`` in), and the candidate and the walk reuse the gate's
     accepting tables.  The walk is made here and carried into the candidate
     and the iteration, so the candidate is validated once.
+
+    A checked join whose candidate equals an input returns that input
+    without walking, as the 0-step trace the walk would give.  The
+    candidate's row for each ``side`` agent ``a`` is
+    ``C_a(mu(a) | mu2(a))``.  If that is ``mu(a)`` for every ``a``, then
+    ``mu >= mu2`` in ``side``'s Blair order (``matching._blair_geq``).  The
+    gate found ``C_a(mu(a)) == mu(a)``, so ``mu >= mu`` too.  So ``mu`` is a
+    stable upper bound of both inputs, and every upper bound of both is at
+    or above ``mu``: ``mu`` is their join.  The same holds for ``mu2``.
+    Substitutability is not used, so on a market that violates it the
+    result is still the Blair-order join.  Unchecked joins always walk.
     """
     tables = _require(m, "stable", named, message) if check else None
     (_, mu), (_, mu2) = named
     token = _current_walk.set(_Walk(m, side, (mu, mu2), tables))
     try:
         candidate = (lambda_join if side == "firms" else gamma_join)(m, mu, mu2, check=False)
+        if check and (candidate == mu or candidate == mu2):
+            return OperatorTrace(side, (candidate,))
         return iterate_to_fixed_point(m, candidate, side, check=False)
     finally:
         _current_walk.reset(token)

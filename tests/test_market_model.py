@@ -556,6 +556,25 @@ def test_validate_market_reports_referential_failure():
     assert report.referential
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (
+            {"variant": "nope", "firms": {}, "workers": {}},
+            "variant must be one of ('many_to_one', 'many_to_many_responsive', 'many_to_many_sub'), got 'nope'",
+        ),
+        ({"variant": "many_to_one", "firms": {}, "workers": 3}, "'firms' and 'workers' must be objects"),
+    ],
+    ids=["unknown_variant", "workers_not_an_object"],
+)
+def test_validate_market_raises_schema_errors_on_raw_json(raw, message):
+    """Only referential problems become report entries; a malformed schema raises as ``from_json`` does."""
+    with pytest.raises(SchemaError) as caught:
+        validate_market(raw)
+    assert type(caught.value) is SchemaError
+    assert str(caught.value) == message
+
+
 def test_market_json_round_trip(example1, example2):
     for m in (example1[0], example2[0]):
         again = Market.from_json(m.to_json())

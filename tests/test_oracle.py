@@ -47,7 +47,7 @@ from matchlattice import oracle, tarski
 from matchlattice.market import SUBSET_CAP, ChoiceFunction
 from matchlattice.oracle import count_matchings
 
-from conftest import bundle_market
+from conftest import bundle_market, bundle_sets
 from latin_cores import CASE_IDS, CASES, latin_core
 
 VARIANTS = ("many_to_one", "many_to_many_responsive", "many_to_many_sub")
@@ -381,14 +381,11 @@ def test_extremal_stable_reports_an_oracle_without_an_optimum(example1, monkeypa
 
 
 def test_example2_quasi_stable_counts(example2):
-    m, named = example2
-    budget = EnumerationBudget(max_firms=7, max_workers=10)
-    qw = enumerate_quasi_stable(m, "workers", budget)
-    qf = enumerate_quasi_stable(m, "firms", budget)
+    named = example2[1]
+    _, stable, qw, qf = bundle_sets("example2")
     assert (len(qw), len(qf)) == (6_280, 156)
     assert named["mu_boxed"] in qw and Matching.empty() in qf
-    stable = set(enumerate_stable(m, budget))
-    assert stable <= set(qw) and stable <= set(qf)
+    assert set(stable) <= set(qw) and set(stable) <= set(qf)
 
 
 def test_random_market_deterministic():
