@@ -16,6 +16,7 @@ sets of non-individually-rational matchings can see).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, Mapping
@@ -28,9 +29,15 @@ SIDES = ("firms", "workers")
 
 
 class Matching:
-    """Immutable firm-worker assignment with both views kept consistent."""
+    """Immutable firm-worker assignment with both views kept consistent.
 
-    __slots__ = ("_edges", "_by_firm", "_by_worker", "_hash")
+    ``_proof`` is None or a weak reference to the market the library proved
+    this matching stable in (:func:`_prove`), written only on a matching it
+    built, before returning it.  It is not part of the value: equality,
+    hashing, copies and pickles ignore it, and a copy carries none.
+    """
+
+    __slots__ = ("_edges", "_by_firm", "_by_worker", "_hash", "_proof")
 
     def __init__(self, edges: Iterable[tuple[AgentId, AgentId]] = ()):
         rows: dict[AgentId, set[AgentId]] = {}
@@ -72,6 +79,7 @@ class Matching:
             self._edges = frozenset([(b, a) for a, b in pairs])
             self._by_firm, self._by_worker = other, view
         self._hash = hash(self._edges)
+        self._proof = None
 
     def _patched(self, side: str, rows: Mapping[AgentId, frozenset[AgentId]]) -> "Matching":
         """This matching with each ``side`` agent of ``rows`` holding its row instead.
@@ -100,6 +108,7 @@ class Matching:
         out._edges = self._edges.difference(gone).union(added)
         out._by_firm, out._by_worker = (view, other) if firms else (other, view)
         out._hash = hash(out._edges)
+        out._proof = None
         return out
 
     @staticmethod
@@ -137,6 +146,9 @@ class Matching:
 
     def __len__(self):
         return len(self._edges)
+
+    def __reduce__(self):
+        return Matching, (self._edges,)
 
     def __repr__(self):
         pairs = ", ".join(f"{f}-{w}" for f, w in sorted(self._edges, key=lambda e: (agent_key(e[0]), agent_key(e[1]))))
@@ -354,6 +366,26 @@ def _stable_tables(m: Market, mu: Matching, direct: bool = True, base=None, know
                 if w in firms[f]:
                     return None
     return tables
+
+
+def _proven(m: Market, mu: Matching) -> bool:
+    """Whether the library proved ``mu`` stable in this very market object.
+
+    A gate may then skip validation and :func:`_stable_tables`.  The public
+    predicates never ask: they decide from the matching alone.
+    """
+    proof = mu._proof
+    return proof is not None and proof() is m
+
+
+def _prove(m: Market, mu: Matching) -> None:
+    """Record that ``mu``, a matching the library built, is stable in ``m``.
+
+    The market is held weakly: a proof never keeps it alive, and one whose
+    market is gone is never trusted again.  Only a matching not yet handed
+    to a caller is written, so no query writes to anything it was given.
+    """
+    mu._proof = weakref.ref(m)
 
 
 # -- willing-partner sets ----------------------------------------------------

@@ -23,7 +23,7 @@ from .market import (
     _subsets,
     sort_agents,
 )
-from .matching import Matching, _stable_tables, blair_geq_firms, is_stable
+from .matching import Matching, _proven, _stable_tables, blair_geq_firms, is_stable
 from . import tarski
 
 
@@ -198,23 +198,30 @@ def _lifted(rm: RelatedMarket, nu: Matching, nu2: Matching, op) -> Matching:
     """``phi`` of ``op`` on the replica market, applied to both inputs' stable preimages.
 
     Each input must be a stable matching of the source, as
-    :func:`phi_inverse_stable` requires, and is refused with its error.  One
-    stability pass, through the public ``accepting``, checks ``nu``; the
-    second visits only the agents whose holdings differ from ``nu``'s,
-    unless ``nu2`` names an agent outside the market.  ``op``'s own gate
-    then checks the preimages, which raises :class:`PreimageNotStable`, and
-    its walk reuses the gate's tables.
+    :func:`phi_inverse_stable` requires, and is refused with its error.  An
+    input the library proved stable in the source (``matching._proven``)
+    is trusted.  Otherwise one stability pass, through the public
+    ``accepting``, checks ``nu``; the one for ``nu2`` visits only the
+    agents whose holdings differ from ``nu``'s, unless ``nu`` was trusted
+    or ``nu2`` names an agent outside the market.  ``op``'s own gate then
+    checks the preimages, which raises :class:`PreimageNotStable`, and its
+    walk reuses the gate's tables; no proof reaches that gate, as each
+    preimage is built here.
     """
     source = rm.source
-    tables = _stable_tables(source, nu, False)
-    if tables is None:
-        raise NotStable(_NOT_STABLE)
+    base = None
+    if not _proven(source, nu):
+        tables = _stable_tables(source, nu, False)
+        if tables is None:
+            raise NotStable(_NOT_STABLE)
+        base = (nu, tables)
     a = phi_preimage(rm, nu)  # validates nu, so it can serve as the base
-    inside = nu2._by_firm.keys() <= source._firm_index.keys() and (
-        nu2._by_worker.keys() <= source._worker_index.keys()
-    )
-    if _stable_tables(source, nu2, False, (nu, tables) if inside else None) is None:
-        raise NotStable(_NOT_STABLE)
+    if not _proven(source, nu2):
+        inside = nu2._by_firm.keys() <= source._firm_index.keys() and (
+            nu2._by_worker.keys() <= source._worker_index.keys()
+        )
+        if _stable_tables(source, nu2, False, base if inside else None) is None:
+            raise NotStable(_NOT_STABLE)
     b = phi_preimage(rm, nu2)
     try:
         joined = op(rm.market, a, b)

@@ -42,6 +42,8 @@ from .matching import (
     Matching,
     _agents,
     _other,
+    _prove,
+    _proven,
     _require_side,
     _stable_tables,
     blair_geq_firms,
@@ -63,11 +65,16 @@ def _require(m: Market, on: str, named, message: str = "{} is not {}"):
     quasi-stability predicates are looked up per call, so a wrapper
     installed on the module sees them.  For ``"stable"`` it returns each
     matching's accepting tables; a later matching visits only the agents
-    whose holdings differ from the one before it.
+    whose holdings differ from the one before it.  A matching the library
+    proved stable in this market object (``matching._proven``) is trusted
+    without validation or a pass, and its entry is None.
     """
     if on == "stable":
         tables, base = [], None
         for what, mu in named:
+            if _proven(m, mu):
+                tables.append(None)
+                continue
             mu.validate_for(m)
             found = _stable_tables(m, mu, True, base)
             if found is None:
@@ -156,8 +163,10 @@ class _Walk:
     raised do not depend on hash order.
 
     A walk made for a join holds its inputs ``join`` and, when the stability
-    gate ran, their accepting ``tables``; the candidate and the first
-    evaluation read them wherever a holding equals an input's.
+    gate ran, its list ``tables``: each input's accepting tables, or None
+    for an input the gate trusted on its proof.  When both are there, the
+    candidate and the first evaluation read them wherever a holding equals
+    an input's.
     """
 
     def __init__(self, m: Market, side: str, pair=(None, None), tables=None):
@@ -223,27 +232,32 @@ class _Walk:
         return _agents(self.m, mu, self.side)[1].get(a, EMPTY) | self.claimants[a]
 
     def candidate(self) -> Matching:
-        """The pooled candidate of the two stable inputs the gate checked.
+        """The pooled candidate of the two stable inputs the gate passed.
 
-        The gate found ``C(h) == h`` for every holding ``h``, so an agent that
-        both inputs give ``h`` keeps it without a choice; the others choose
-        from both holdings.  The candidate patches the first input's rows,
-        and an agent holding an input's row takes on the set in its table.
+        The gate found, or trusted a proof, that ``C(h) == h`` for every
+        holding ``h``, so an agent that both inputs give ``h`` keeps it
+        without a choice; the others choose from both holdings.  The
+        candidate patches the first input's rows.  When the gate has both
+        inputs' tables, an agent holding an input's row takes on the set in
+        its table; otherwise the first evaluation has no seed.
         """
         _, mu, mu2, side = self.join
         choices, view, _ = _agents(self.m, mu, side)
         view2 = _agents(self.m, mu2, side)[1]
-        rows, seed, seed2 = {}, dict(self.tables[0][self.k]), self.tables[1][self.k]
+        first, second = self.tables
+        seed = None if first is None or second is None else dict(first[self.k])
+        rows = {}
         for a, c in choices.items():
             h, h2 = view.get(a, EMPTY), view2.get(a, EMPTY)
             if h != h2:
                 row = c._choose(h | h2)
                 if row != h:
                     rows[a] = row
-                    if row == h2:
-                        seed[a] = seed2[a]
-                    else:
-                        del seed[a]
+                    if seed is not None:
+                        if row == h2:
+                            seed[a] = second[self.k][a]
+                        else:
+                            del seed[a]
         self.seed = seed
         out = mu._patched(side, rows)
         out.validate_for(self.m)
@@ -302,9 +316,11 @@ class _Walk:
         point every agent of that side holds ``C(pool)``; for a many-to-one
         worker that is at most one acceptable firm, so her takes-on set is
         her plain accepting set.  After a checked join's gate only the
-        agents whose holdings differ from the first input's are visited.
+        agents whose holdings differ from the first input's are visited,
+        unless the gate trusted that input's proof and has no tables for it.
         """
-        base = (self.join[1], self.tables[0]) if self.tables else None
+        first = self.tables[0] if self.tables else None
+        base = None if first is None else (self.join[1], first)
         known = [None, None]
         known[self.k] = self.takes
         return _stable_tables(self.m, mu, True, base, known) is not None
@@ -413,6 +429,10 @@ def iterate_to_fixed_point(
     wrong answer.  So does a step that builds an edge set that is not a
     matching of ``m``, as one from a start that is not quasi-stable can; a
     start that is not a matching of ``m`` raises :class:`SchemaError`.
+
+    A fixed point the walk built proves itself stable (``matching._prove``),
+    so a later checked join, meet or lifted operation in ``m`` trusts it.
+    A 0-step walk returns its start as it was given, unproven.
     """
     _require_side(side)
     step = tarski_firm_step if side == "firms" else tarski_worker_step
@@ -442,6 +462,8 @@ def iterate_to_fixed_point(
                         "operator reached a fixed point that is not stable; "
                         "the market violates substitutability"
                     )
+                if current is not mu:
+                    _prove(m, current)
                 return OperatorTrace(side, tuple(visited))
             if not walk.climbed(current):
                 raise NonConvergence(
@@ -476,6 +498,10 @@ def _join_trace(m: Market, named, side: str, check: bool = True, message: str = 
     or above ``mu``: ``mu`` is their join.  The same holds for ``mu2``.
     Substitutability is not used, so on a market that violates it the
     result is still the Blair-order join.  Unchecked joins always walk.
+
+    The result is proven stable in ``m`` (``matching._prove``): it is the
+    candidate or a step's output, built here, and either equals a stable
+    input or passed the walk's fixed-point check.
     """
     tables = _require(m, "stable", named, message) if check else None
     (_, mu), (_, mu2) = named
@@ -483,10 +509,13 @@ def _join_trace(m: Market, named, side: str, check: bool = True, message: str = 
     try:
         candidate = (lambda_join if side == "firms" else gamma_join)(m, mu, mu2, check=False)
         if check and (candidate == mu or candidate == mu2):
-            return OperatorTrace(side, (candidate,))
-        return iterate_to_fixed_point(m, candidate, side, check=False)
+            trace = OperatorTrace(side, (candidate,))
+        else:
+            trace = iterate_to_fixed_point(m, candidate, side, check=False)
     finally:
         _current_walk.reset(token)
+    _prove(m, trace.final)
+    return trace
 
 
 def stable_join_firms(m: Market, mu: Matching, mu2: Matching, check: bool = True) -> Matching:
