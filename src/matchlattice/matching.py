@@ -1,8 +1,9 @@
 """Matchings and the predicates defined on them.
 
 A matching is a mutually consistent bipartite assignment: ``w in mu(f)``
-exactly when ``f in mu(w)``.  It is stored as an immutable edge set with
-both per-side views derived once, so the invariant holds by construction.
+exactly when ``f in mu(w)``.  It is stored as its two row views, ``mu(f)``
+per firm and ``mu(w)`` per worker, one derived from the other, so the
+invariant holds by construction.
 
 Individual rationality, blocking, quasi-stability and the orders are read
 off each agent's choice function, as the paper defines them; a worker's
@@ -22,14 +23,17 @@ from functools import partial
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CapExceeded, SchemaError
-from .market import SUBSET_CAP, AgentId, Market, QuotaLinearChoice, _fmt_set, _subsets, agent_key, sort_agents
+from .market import SUBSET_CAP, AgentId, Market, QuotaLinearChoice, _fmt_set, _subsets, sort_agents
 
 EMPTY: frozenset[AgentId] = frozenset()
 SIDES = ("firms", "workers")
 
 
 class Matching:
-    """Immutable firm-worker assignment with both views kept consistent.
+    """Immutable firm-worker assignment, stored as its two row views.
+
+    No row is empty, so the firm view is the value: equality, hashing and
+    ``edges`` read it.
 
     ``_proof`` is None or a weak reference to the market the library proved
     this matching stable in (:func:`_prove`), written only on a matching it
@@ -37,7 +41,7 @@ class Matching:
     hashing, copies and pickles ignore it, and a copy carries none.
     """
 
-    __slots__ = ("_edges", "_by_firm", "_by_worker", "_hash", "_proof")
+    __slots__ = ("_by_firm", "_by_worker", "_proof")
 
     def __init__(self, edges: Iterable[tuple[AgentId, AgentId]] = ()):
         rows: dict[AgentId, set[AgentId]] = {}
@@ -57,28 +61,20 @@ class Matching:
         return out
 
     def _set_views(self, rows: Iterable[tuple[AgentId, frozenset[AgentId]]], side: str) -> None:
-        """Take the ``side`` view from the rows; derive the edge set and the other view."""
+        """Take the ``side`` view from the rows and derive the other view."""
         view: dict[AgentId, frozenset[AgentId]] = {}
         cols: dict[AgentId, list[AgentId]] = {}
-        pairs = []
         for a, bs in rows:
             if bs:
                 view[a] = bs
                 for b in bs:
-                    pairs.append((a, b))
                     col = cols.get(b)
                     if col is None:
                         cols[b] = [a]
                     else:
                         col.append(a)
         other = {b: frozenset(v) for b, v in cols.items()}
-        if side == "firms":
-            self._edges = frozenset(pairs)
-            self._by_firm, self._by_worker = view, other
-        else:
-            self._edges = frozenset([(b, a) for a, b in pairs])
-            self._by_firm, self._by_worker = other, view
-        self._hash = hash(self._edges)
+        self._by_firm, self._by_worker = (view, other) if side == "firms" else (other, view)
         self._proof = None
 
     def _patched(self, side: str, rows: Mapping[AgentId, frozenset[AgentId]]) -> "Matching":
@@ -89,25 +85,20 @@ class Matching:
         firms = side == "firms"
         view, other = (self._by_firm, self._by_worker) if firms else (self._by_worker, self._by_firm)
         view, other = dict(view), dict(other)
-        gone, added = [], []
         for a, bs in rows.items():
             old = view.pop(a, EMPTY)
             if bs:
                 view[a] = bs
             for b in old - bs:
-                gone.append((a, b) if firms else (b, a))
                 rest = other[b] - {a}
                 if rest:
                     other[b] = rest
                 else:
                     del other[b]
             for b in bs - old:
-                added.append((a, b) if firms else (b, a))
                 other[b] = other.get(b, EMPTY) | {a}
         out = Matching.__new__(Matching)
-        out._edges = self._edges.difference(gone).union(added)
         out._by_firm, out._by_worker = (view, other) if firms else (other, view)
-        out._hash = hash(out._edges)
         out._proof = None
         return out
 
@@ -121,7 +112,7 @@ class Matching:
 
     @property
     def edges(self) -> frozenset[tuple[AgentId, AgentId]]:
-        return self._edges
+        return frozenset([(f, w) for f, ws in self._by_firm.items() for w in ws])
 
     def of_firm(self, f: AgentId) -> frozenset[AgentId]:
         return self._by_firm.get(f, EMPTY)
@@ -139,19 +130,19 @@ class Matching:
         return next(iter(fs))
 
     def __eq__(self, other):
-        return self is other or isinstance(other, Matching) and self._edges == other._edges
+        return self is other or isinstance(other, Matching) and self._by_firm == other._by_firm
 
     def __hash__(self):
-        return self._hash
+        return hash(frozenset(self._by_firm.items()))
 
     def __len__(self):
-        return len(self._edges)
+        return sum(map(len, self._by_firm.values()))
 
     def __reduce__(self):
-        return Matching, (self._edges,)
+        return Matching, (self.edges,)
 
     def __repr__(self):
-        pairs = ", ".join(f"{f}-{w}" for f, w in sorted(self._edges, key=lambda e: (agent_key(e[0]), agent_key(e[1]))))
+        pairs = ", ".join(f"{f}-{w}" for f in sort_agents(self._by_firm) for w in sort_agents(self._by_firm[f]))
         return f"Matching({pairs})"
 
     def validate_for(self, m: Market) -> None:
@@ -166,7 +157,7 @@ class Matching:
         unknown = self._by_worker.keys() - m.worker_ids
         if unknown:
             raise SchemaError(f"matching references unknown worker {sort_agents(unknown)[0]!r}")
-        if m.variant == "many_to_many_sub" or len(self._by_worker) == len(self._edges):
+        if m.variant == "many_to_many_sub" or len(self._by_worker) == len(self):
             return  # quotas are at least 1, so one job each fits every worker
         quota = m.worker_quotas
         over = [w for w, fs in self._by_worker.items() if len(fs) > quota[w]]
@@ -330,8 +321,11 @@ def _stable_tables(m: Market, mu: Matching, direct: bool = True, base=None, know
     as a matching of ``m``.  ``base`` is ``(mu0, tables0)``: a stable
     matching of ``m`` and its tables.  An agent holding what it holds in
     ``mu0`` keeps its set and its rationality from there, and a pair of two
-    such agents blocks ``mu0`` if it blocks ``mu``, so only the other agents
-    are visited and only their pairs scanned.  ``known`` holds, per side,
+    such agents blocks ``mu0`` if it blocks ``mu``, so only the market
+    agents whose rows differ from ``mu0``'s are visited, in id order, and
+    only their pairs scanned.  No id outside the market is visited; a
+    market agent whose row names one has a row that differs, and its public
+    ``accepting`` refuses the id.  ``known`` holds, per side,
     None or that side's accepting table at ``mu``, which a visited agent
     reads its set from.
     """
@@ -339,10 +333,10 @@ def _stable_tables(m: Market, mu: Matching, direct: bool = True, base=None, know
         tables, moved = ({}, {}), (m.firm_ids, m.worker_ids)
     else:
         mu0, (firms0, workers0) = base
-        tables, diff = (dict(firms0), dict(workers0)), mu.edges ^ mu0.edges
+        tables = (dict(firms0), dict(workers0))
         moved = (
-            sorted({f for f, _ in diff}, key=m._firm_index.__getitem__),
-            sorted({w for _, w in diff}, key=m._worker_index.__getitem__),
+            [f for f in m.firm_ids if mu._by_firm.get(f) != mu0._by_firm.get(f)],
+            [w for w in m.worker_ids if mu._by_worker.get(w) != mu0._by_worker.get(w)],
         )
     for side, out, agents, table in zip(SIDES, tables, moved, known):
         choices, view, _ = _agents(m, mu, side)

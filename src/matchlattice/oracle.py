@@ -440,6 +440,9 @@ def random_market(seed: int, spec: RandomMarketSpec) -> Market:
     """A market drawn deterministically from the seed, valid by construction."""
     if spec.variant not in VARIANTS:
         raise SchemaError(f"unknown variant {spec.variant!r}")
+    for field in ("firm_kind", "worker_kind"):
+        if getattr(spec, field) not in ("quota_linear", "set_list", "mixed"):
+            raise SchemaError(f"unknown {field} {getattr(spec, field)!r}")
     rng = random.Random(seed)
     firm_ids = [f"f{i + 1}" for i in range(spec.n_firms)]
     worker_ids = [f"w{i + 1}" for i in range(spec.n_workers)]

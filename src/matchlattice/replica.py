@@ -202,11 +202,10 @@ def _lifted(rm: RelatedMarket, nu: Matching, nu2: Matching, op) -> Matching:
     input the library proved stable in the source (``matching._proven``)
     is trusted.  Otherwise one stability pass, through the public
     ``accepting``, checks ``nu``; the one for ``nu2`` visits only the
-    agents whose holdings differ from ``nu``'s, unless ``nu`` was trusted
-    or ``nu2`` names an agent outside the market.  ``op``'s own gate then
-    checks the preimages, which raises :class:`PreimageNotStable`, and its
-    walk reuses the gate's tables; no proof reaches that gate, as each
-    preimage is built here.
+    market agents whose holdings differ from ``nu``'s, unless ``nu`` was
+    trusted.  ``op``'s own gate then checks the preimages, which raises
+    :class:`PreimageNotStable`, and its walk reuses the gate's tables; no
+    proof reaches that gate, as each preimage is built here.
     """
     source = rm.source
     base = None
@@ -216,12 +215,8 @@ def _lifted(rm: RelatedMarket, nu: Matching, nu2: Matching, op) -> Matching:
             raise NotStable(_NOT_STABLE)
         base = (nu, tables)
     a = phi_preimage(rm, nu)  # validates nu, so it can serve as the base
-    if not _proven(source, nu2):
-        inside = nu2._by_firm.keys() <= source._firm_index.keys() and (
-            nu2._by_worker.keys() <= source._worker_index.keys()
-        )
-        if _stable_tables(source, nu2, False, base if inside else None) is None:
-            raise NotStable(_NOT_STABLE)
+    if not _proven(source, nu2) and _stable_tables(source, nu2, False, base) is None:
+        raise NotStable(_NOT_STABLE)
     b = phi_preimage(rm, nu2)
     try:
         joined = op(rm.market, a, b)

@@ -424,9 +424,10 @@ def iterate_to_fixed_point(
     ``side`` names the operator: ``"firms"`` walks worker-quasi-stable
     matchings up the firm order, ``"workers"`` walks firm-quasi-stable
     matchings up the worker order.  The end of the trace is stable.  A cap
-    on steps (and a per-step improvement check) turns axiom violations in
-    the market into :class:`NonConvergence` instead of a hang or a silently
-    wrong answer.  So does a step that builds an edge set that is not a
+    on steps (the application that confirms the fixed point is not one)
+    and a per-step improvement check turn axiom violations in the market
+    into :class:`NonConvergence` instead of a hang or a silently wrong
+    answer.  So does a step that builds an edge set that is not a
     matching of ``m``, as one from a start that is not quasi-stable can; a
     start that is not a matching of ``m`` raises :class:`SchemaError`.
 
@@ -448,7 +449,7 @@ def iterate_to_fixed_point(
     current = mu
     token = _current_walk.set(walk)
     try:
-        for i in range(1, cap + 1):
+        for i in range(1, cap + 2):  # cap steps, then the confirming application
             try:
                 nxt = step(m, current, check=False)
             except SchemaError as e:
@@ -465,6 +466,8 @@ def iterate_to_fixed_point(
                 if current is not mu:
                     _prove(m, current)
                 return OperatorTrace(side, tuple(visited))
+            if i > cap:
+                break
             if not walk.climbed(current):
                 raise NonConvergence(
                     "operator step failed to improve its side's order; "

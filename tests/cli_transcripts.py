@@ -151,33 +151,33 @@ UNION_BLOCKS = (
 )
 
 
-def _relabel(a: str, block: int) -> str:
+def relabel(a: str, block: int) -> str:
     return f"{a}.{block}"
 
 
-def union_market() -> dict:
-    """UNION_COPIES relabelled copies of example2's market, as one market."""
-    market = load_bundle("example2")["market"]
+def union_market(name: str, copies: int) -> dict:
+    """``copies`` relabelled copies of a bundled example's market, as one market's JSON."""
+    market = load_bundle(name)["market"]
     out = {"variant": market["variant"], "firms": {}, "workers": {}}
-    for block in range(UNION_COPIES):
+    for block in range(copies):
         for side in ("firms", "workers"):
             for agent, spec in market[side].items():
                 spec = dict(spec)
                 if "list" in spec:
-                    spec["list"] = [[_relabel(x, block) for x in entry] for entry in spec["list"]]
+                    spec["list"] = [[relabel(x, block) for x in entry] for entry in spec["list"]]
                 if "order" in spec:
-                    spec["order"] = [_relabel(x, block) for x in spec["order"]]
-                out[side][_relabel(agent, block)] = spec
+                    spec["order"] = [relabel(x, block) for x in spec["order"]]
+                out[side][relabel(agent, block)] = spec
     return out
 
 
 def join_meet_union() -> str:
     """``join`` and ``meet`` on the union market, its inputs named by UNION_BLOCKS."""
     named = load_bundle("example2")["matchings"]
-    files = {"example2_union": union_market()}
+    files = {"example2_union": union_market("example2", UNION_COPIES)}
     for i, labels in enumerate(UNION_BLOCKS, start=1):
         assignments = {
-            _relabel(f, block): [_relabel(w, block) for w in ws]
+            relabel(f, block): [relabel(w, block) for w in ws]
             for block, label in enumerate(labels)
             for f, ws in named[label]["assignments"].items()
         }

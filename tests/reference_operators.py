@@ -204,7 +204,7 @@ def iterate_to_fixed_point(m, mu, side, cap):
     step = firm_step if side == "firms" else worker_step
     improves = firm_blair_geq if side == "firms" else worker_blair_geq
     visited = [mu]
-    for _ in range(cap):
+    for i in range(cap + 1):  # cap steps, then the confirming application
         try:
             nxt = step(m, visited[-1])
         except SchemaError as e:
@@ -213,6 +213,8 @@ def iterate_to_fixed_point(m, mu, side, cap):
             if not is_stable(m, nxt):
                 raise NonConvergence("fixed point is not stable")
             return OperatorTrace(side, tuple(visited))
+        if i == cap:
+            break
         if not improves(m, nxt, visited[-1]):
             raise NonConvergence("step failed to improve")
         visited.append(nxt)

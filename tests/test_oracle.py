@@ -479,6 +479,17 @@ def test_unknown_variant_is_refused_before_drawing():
         random_market(0, spec)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("field", ["firm_kind", "worker_kind"])
+def test_unknown_choice_kind_is_refused_before_drawing(variant, field):
+    # As above, a set-list draw made before the check would raise
+    # GenerationFailed instead of naming the kind.
+    kinds = {"firm_kind": "set_list", "worker_kind": "set_list", field: "setlist"}
+    spec = RandomMarketSpec(variant, 2, 3, retry_cap=0, **kinds)
+    with pytest.raises(SchemaError, match=rf"^unknown {field} 'setlist'$"):
+        random_market(0, spec)
+
+
 @pytest.mark.parametrize("kind", ["set_list", "mixed"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_set_list_generator_past_the_validation_cap(variant, kind):

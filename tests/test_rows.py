@@ -6,6 +6,9 @@ built from edges groups them into firm rows first, so the two views may
 iterate in different orders; nothing observable may tell the two apart.
 """
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,10 +53,14 @@ def rows_case(draw):
     variant = draw(st.sampled_from(sorted(MARKETS)))
     m = MARKETS[variant]
     side = draw(st.sampled_from(["firms", "workers"]))
+    return m, side, list(draw(side_rows(m, side)).items())
+
+
+def side_rows(m, side):
+    """``{agent: frozenset}`` over ``side``'s ids and outsiders, rows possibly empty."""
     agents = ids(m, side) + OUTSIDERS[side]
     partners = ids(m, OTHER[side]) + OUTSIDERS[OTHER[side]]
-    table = draw(st.dictionaries(st.sampled_from(agents), st.frozensets(st.sampled_from(partners), max_size=4)))
-    return m, side, list(table.items())
+    return st.dictionaries(st.sampled_from(agents), st.frozensets(st.sampled_from(partners), max_size=4))
 
 
 def edges_of(side, rows):
@@ -68,26 +75,63 @@ def schema_error(mu, m):
     return None
 
 
+def observed(mu, m):
+    """Everything a caller can read off a matching, in a comparable form."""
+    firms = ids(m, "firms") + OUTSIDERS["firms"]
+    workers = ids(m, "workers") + OUTSIDERS["workers"]
+    return (
+        mu.edges,
+        hash(mu),
+        repr(mu),
+        mu.to_json(),
+        len(mu),
+        [mu.of_firm(f) for f in firms],
+        [mu.of_worker(w) for w in workers],
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows_case())
 def test_rows_build_the_matching_their_edges_build(case):
     m, side, rows = case
     by_rows = Matching._from_view(rows, side)
     by_edges = Matching(edges_of(side, rows))
-    assert by_rows.edges == by_edges.edges
-    assert hash(by_rows) == hash(by_edges)
     assert by_rows == by_edges and by_edges == by_rows
-    assert repr(by_rows) == repr(by_edges)
-    assert by_rows.to_json() == by_edges.to_json()
-    for f in ids(m, "firms") + OUTSIDERS["firms"]:
-        assert by_rows.of_firm(f) == by_edges.of_firm(f)
-    for w in ids(m, "workers") + OUTSIDERS["workers"]:
-        assert by_rows.of_worker(w) == by_edges.of_worker(w)
+    assert observed(by_rows, m) == observed(by_edges, m)
     assert schema_error(by_rows, m) == schema_error(by_edges, m)
     try:
         assert _from_rows(m, side, rows) == by_edges
     except SchemaError as e:
         assert str(e) == schema_error(by_edges, m)
+
+
+@st.composite
+def patch_case(draw):
+    """A matching from :func:`rows_case` rows, and rows for either side to patch in.
+
+    A patch row may be empty, may empty an agent's row and may name an
+    agent the matching does not hold.
+    """
+    m, side, rows = draw(rows_case())
+    mu = Matching._from_view(rows, side)
+    side = draw(st.sampled_from(["firms", "workers"]))
+    return m, mu, side, draw(side_rows(m, side))
+
+
+@settings(max_examples=200, deadline=None)
+@given(patch_case())
+def test_patched_rows_build_the_matching_their_edges_build(case):
+    m, mu, side, patch = case
+    before = Matching(mu.edges)
+    patched = mu._patched(side, patch)
+    kept = [e for e in mu.edges if (e[0] if side == "firms" else e[1]) not in patch]
+    by_edges = Matching(kept + edges_of(side, patch.items()))
+    assert patched == by_edges and by_edges == patched
+    assert observed(patched, m) == observed(by_edges, m)
+    assert len(patched) == len(patched.edges)
+    for twin in (pickle.loads(pickle.dumps(patched)), copy.copy(patched), copy.deepcopy(patched)):
+        assert twin == patched and observed(twin, m) == observed(patched, m)
+    assert mu == before and observed(mu, m) == observed(before, m)
 
 
 def test_rows_name_the_over_quota_worker():

@@ -54,6 +54,7 @@ from matchlattice.matching import _stable_tables, has_blocking_pair
 from matchlattice.tarski import _Walk, iteration_cap
 
 import reference_operators as ref
+from cli_transcripts import relabel, union_market
 
 VARIANTS = ("many_to_one", "many_to_many_responsive", "many_to_many_sub")
 FIRM_KINDS = ("quota_linear", "set_list", "mixed")
@@ -273,10 +274,6 @@ def test_erratic_walks_match_the_reference(variant, kind):
     assert ends == {OperatorTrace, NonConvergence}
 
 
-def relabel(a, block):
-    return f"{a}.{block}"
-
-
 def example_union(name, copies):
     """``(union, tables)``: ``copies`` relabelled copies of an example as one market.
 
@@ -284,23 +281,12 @@ def example_union(name, copies):
     meet tables from :func:`verify_lattice`, indexed in the order
     ``enumerate_stable`` lists the stable set.
     """
-    market_json = load_bundle(name)["market"]
-    template = Market.from_json(market_json)
+    template = Market.from_json(load_bundle(name)["market"])
     budget = EnumerationBudget(max_firms=len(template.firm_ids), max_workers=len(template.worker_ids))
     report = verify_lattice(template, budget)
     assert report.ok
-    union = {"variant": market_json["variant"], "firms": {}, "workers": {}}
-    for block in range(copies):
-        for side in ("firms", "workers"):
-            for agent, spec in market_json[side].items():
-                spec = dict(spec)
-                if "list" in spec:
-                    spec["list"] = [[relabel(x, block) for x in entry] for entry in spec["list"]]
-                if "order" in spec:
-                    spec["order"] = [relabel(x, block) for x in spec["order"]]
-                union[side][relabel(agent, block)] = spec
     tables = (enumerate_stable(template, budget), report.join_table, report.meet_table)
-    return Market.from_json(union), tables
+    return Market.from_json(union_market(name, copies)), tables
 
 
 def block_matching(stable, indices):

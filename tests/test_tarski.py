@@ -198,6 +198,18 @@ def test_iterate_cap_raises(example2):
         iterate_to_fixed_point(m, named["mu_boxed"], "firms", cap=1)
 
 
+def test_iterate_cap_counts_steps_not_applications(example2):
+    """``cap`` steps are allowed; the application that confirms the fixed point is not one."""
+    m, named = example2
+    full = iterate_to_fixed_point(m, named["mu_boxed"], "firms")
+    assert full.steps == 3
+    assert iterate_to_fixed_point(m, named["mu_boxed"], "firms", cap=3).matchings == full.matchings
+    with pytest.raises(NonConvergence, match=r"^no fixed point within 2 steps$"):
+        iterate_to_fixed_point(m, named["mu_boxed"], "firms", cap=2)
+    stable = iterate_to_fixed_point(m, full.final, "firms", cap=0)
+    assert stable.steps == 0 and stable.matchings == (full.final,)
+
+
 def test_walks_leave_no_tables_behind(example2):
     """A walk's tables live only while ``iterate_to_fixed_point`` runs, whether it returns or raises."""
     m, named = example2
